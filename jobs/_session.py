@@ -2,11 +2,20 @@
 
 Mirrors conftest.py's settings so `python jobs/<name>.py` and the pytest
 suite exercise identical Spark configurations.
+
+``src`` goes on this process's ``sys.path`` and, before the JVM starts, on
+the ``PYTHONPATH`` it hands to its Python workers: every SLen build runs
+in ``applyInPandas`` workers, which must import ``repro`` from a checkout
+with no install.
 """
 import os
 import sys
 
-sys.path.insert(0, os.path.join(os.path.dirname(__file__), "..", "src"))
+_SRC = os.path.abspath(os.path.join(os.path.dirname(__file__), "..", "src"))
+sys.path.insert(0, _SRC)
+os.environ["PYTHONPATH"] = os.pathsep.join(
+    p for p in (_SRC, os.environ.get("PYTHONPATH")) if p
+)
 
 os.environ.setdefault("SPARK_DRIVER_MEM", "24g")
 os.environ.setdefault(

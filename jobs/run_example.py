@@ -14,7 +14,7 @@ from repro.core.gpnm import gpnm_from_scratch
 from repro.core.matching import matches_to_dict
 from repro.core.methods import METHODS
 from repro.graphs.datagraph import DataGraph
-from repro.spark_graph.slen import build_slen
+from repro.spark_graph.bfs import apsp
 from repro.synth_graph import fig1_example
 
 
@@ -23,7 +23,7 @@ def main() -> None:
     ex = fig1_example()
     names = ex["names"]
     dg = DataGraph.from_edge_list(spark, ex["labels"], ex["edges"]).cache()
-    slen = build_slen(dg.nodes, dg.edges).localCheckpoint(eager=True)
+    slen = apsp(dg.nodes, dg.edges).localCheckpoint(eager=True)
     iq = gpnm_from_scratch(spark, dg, ex["pattern"], slen).localCheckpoint(eager=True)
 
     print("== Table I: node matching results of Example 1 ==")

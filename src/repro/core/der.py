@@ -31,6 +31,7 @@ from repro.graphs.datagraph import DataGraph
 from repro.graphs.pattern import PatternGraph
 from repro.graphs.updates import Update
 from repro.spark_graph.slen import (
+    _walks_via_edge,
     changed_pairs_edge_insert,
     relax_edge_insert,
 )
@@ -122,17 +123,10 @@ def _endpoints(pairs: DataFrame) -> DataFrame:
 
 def _pairs_through_edge(slen: DataFrame, a: int, b: int) -> DataFrame:
     """(src, dst) whose shortest path can route through edge (a,b)."""
-    to_a = slen.filter(F.col("dst") == a).select(
-        F.col("src").alias("u"), F.col("dist").alias("d_ua")
-    )
-    from_b = slen.filter(F.col("src") == b).select(
-        F.col("dst").alias("v"), F.col("dist").alias("d_bv")
-    )
-    cur = slen.select("src", "dst", F.col("dist").alias("d_cur"))
     return (
-        to_a.crossJoin(from_b)
-        .join(cur, (cur.src == F.col("u")) & (cur.dst == F.col("v")))
-        .filter(F.col("d_cur") == F.col("d_ua") + 1 + F.col("d_bv"))
+        _walks_via_edge(slen, a, b)
+        .join(slen, ["src", "dst"])
+        .filter(F.col("dist") == F.col("via"))
         .select("src", "dst")
     )
 
@@ -154,15 +148,19 @@ def _pairs_through_node(slen: DataFrame, x: int) -> DataFrame:
     )
 
 
+def _with_self_row(spark: SparkSession, slen: DataFrame, x: int) -> DataFrame:
+    """SLen plus the ``(x, x, 0)`` diagonal row of a newly inserted node."""
+    return slen.unionByName(
+        spark.createDataFrame([(x, x, 0)], schema="src long, dst long, dist long")
+    )
+
+
 def slen_after_insertion(spark: SparkSession, slen: DataFrame, u: Update) -> DataFrame:
     """SLen with a single *insertion* update applied (exact, join-only)."""
     if u.kind == "edge_ins":
         return relax_edge_insert(slen, u.src, u.dst)
     if u.kind == "node_ins":
-        self_row = spark.createDataFrame(
-            [(u.node, u.node, 0)], schema="src long, dst long, dist long"
-        )
-        cur = slen.unionByName(self_row)
+        cur = _with_self_row(spark, slen, u.node)
         for a, b in u.attach_edges:
             # checkpoint between relaxes: chained crossJoin plans otherwise
             # re-evaluate the whole prefix on every downstream action
@@ -187,10 +185,7 @@ def affected_nodes_data_update(
     if u.kind == "edge_del":
         return _endpoints(_pairs_through_edge(slen, u.src, u.dst))
     if u.kind == "node_ins":
-        self_row = spark.createDataFrame(
-            [(u.node, u.node, 0)], schema="src long, dst long, dist long"
-        )
-        cur = slen.unionByName(self_row)
+        cur = _with_self_row(spark, slen, u.node)
         out = spark.createDataFrame([(u.node,)], schema="id long")
         for a, b in u.attach_edges:
             out = out.unionByName(_endpoints(changed_pairs_edge_insert(cur, a, b)))

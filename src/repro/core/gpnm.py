@@ -10,7 +10,7 @@ from pyspark.sql import DataFrame, SparkSession
 from repro.core.matching import match_fixpoint
 from repro.graphs.datagraph import DataGraph
 from repro.graphs.pattern import PatternGraph
-from repro.spark_graph.slen import build_slen
+from repro.spark_graph.bfs import apsp
 
 
 def gpnm_from_scratch(
@@ -22,8 +22,8 @@ def gpnm_from_scratch(
     """Node matching result (pid, vid) of ``pattern`` in ``dg``.
 
     ``slen`` may be passed to reuse a cached shortest-path table (the
-    IQuery path in the experiments); otherwise it is built globally.
+    IQuery path in the experiments); otherwise it is built with ``apsp``.
     """
     if slen is None:
-        slen = build_slen(dg.nodes, dg.edges)
+        slen = apsp(dg.nodes, dg.edges)
     return match_fixpoint(spark, pattern, slen, dg.nodes)

@@ -15,8 +15,12 @@ in the tests) — they differ in how much work they do:
 * **UA-GPNM-NoPar**: DER-I+II+III over all updates, full EH-Tree (cross
   relationships included), ONE batched SLen rebuild, regional passes only
   for EH-Tree roots.
-* **UA-GPNM**: identical, but every shortest-path computation (batch
-  rebuild) runs on the label-partitioned engine of §V.
+* **UA-GPNM**: identical, but the batch rebuild groups its BFS sources by
+  the label partition of §V.
+
+Every SLen build runs the one BFS kernel of ``spark_graph.bfs``; only
+UA-GPNM groups it by label partition, the other methods run it over the
+whole graph as a single group.
 
 Exactness: each method ends with a consolidation fixpoint over the full
 label-candidate universe of the updated graphs (identical cost across
@@ -37,21 +41,16 @@ from repro.core.der import (
     affected_nodes_data_update,
     candidate_nodes_pattern_update,
     detect_cross_eliminations,
+    slen_after_insertion,
 )
 from repro.core.ehtree import build_ehtree, eliminated_uids, root_uids
 from repro.core.matching import label_candidates, match_fixpoint
 from repro.graphs.datagraph import DataGraph
 from repro.graphs.pattern import PatternGraph
 from repro.graphs.updates import Update, apply_updates_pattern
-from repro.partition.partitioned_slen import (
-    partitioned_apsp,
-    partitioned_bfs_from_sources,
-)
+from repro.partition.partitioned_slen import partitioned_apsp
 from repro.spark_graph.bfs import apsp, bfs_from_sources
-from repro.spark_graph.slen import (
-    affected_sources_edge_delete,
-    relax_edge_insert,
-)
+from repro.spark_graph.slen import affected_sources_edge_delete
 
 
 @dataclass
@@ -124,12 +123,7 @@ def apply_data_updates_spark(
 
 
 def _slen_step(
-    spark: SparkSession,
-    slen: DataFrame,
-    dg_cur: DataGraph,
-    u: Update,
-    *,
-    partitioned: bool,
+    spark: SparkSession, slen: DataFrame, dg_cur: DataGraph, u: Update
 ) -> tuple[DataFrame, DataGraph]:
     """One per-update incremental SLen maintenance pass (INC/EH style).
 
@@ -140,24 +134,13 @@ def _slen_step(
 
     def recompute(cur: DataFrame, sources: DataFrame) -> DataFrame:
         kept = cur.join(sources.withColumnRenamed("id", "src"), ["src"], "left_anti")
-        if partitioned:
-            fresh = partitioned_bfs_from_sources(dg_new.nodes, dg_new.edges, sources)
-        else:
-            fresh = bfs_from_sources(dg_new.edges, sources)
-        return kept.unionByName(fresh)
+        return kept.unionByName(bfs_from_sources(dg_new.edges, sources))
 
-    if u.kind == "edge_ins":
-        out = relax_edge_insert(slen, u.src, u.dst)
+    if u.is_insertion:
+        out = slen_after_insertion(spark, slen, u)
     elif u.kind == "edge_del":
         sources = affected_sources_edge_delete(slen, u.src, u.dst)
         out = recompute(slen, sources)
-    elif u.kind == "node_ins":
-        self_row = spark.createDataFrame(
-            [(u.node, u.node, 0)], schema="src long, dst long, dist long"
-        )
-        out = slen.unionByName(self_row)
-        for a, b in u.attach_edges:
-            out = relax_edge_insert(out, a, b).localCheckpoint(eager=True)
     elif u.kind == "node_del":
         x = u.node
         sources = (
@@ -216,9 +199,7 @@ def inc_gpnm(
             region = region.localCheckpoint(eager=True)
         if u.graph == "D":
             with stats.phase("slen"):
-                slen_cur, dg_cur = _slen_step(
-                    spark, slen_cur, dg_cur, u, partitioned=False
-                )
+                slen_cur, dg_cur = _slen_step(spark, slen_cur, dg_cur, u)
             stats.n_slen_passes += 1
         else:
             gp_cur = apply_updates_pattern(gp_cur, [u])
@@ -262,7 +243,7 @@ def eh_gpnm(
     dg_cur, slen_cur, matches = dg, slen, iquery
     for u in updates_d:
         with stats.phase("slen"):
-            slen_cur, dg_cur = _slen_step(spark, slen_cur, dg_cur, u, partitioned=False)
+            slen_cur, dg_cur = _slen_step(spark, slen_cur, dg_cur, u)
         stats.n_slen_passes += 1
         if u.uid in d_roots:
             with stats.phase("refine"):
@@ -309,7 +290,8 @@ def ua_gpnm(
     rebuild, regional passes only for EH-Tree roots.
 
     ``partitioned=False`` is the paper's UA-GPNM-NoPar ablation (same
-    algorithm, global BFS engine for the rebuild).
+    algorithm; the rebuild runs the BFS kernel over the whole graph as
+    one group instead of one group per label partition).
     """
     stats = RunStats(
         method="UA-GPNM" if partitioned else "UA-GPNM-NoPar", n_updates=len(updates)

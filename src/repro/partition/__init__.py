@@ -9,7 +9,6 @@ from repro.partition.label_partition import (
 from repro.partition.partitioned_slen import (
     partitioned_apsp,
     partitioned_bfs_from_sources,
-    partitioned_recompute_sources,
 )
 
 __all__ = [
@@ -20,5 +19,4 @@ __all__ = [
     "reach_closure",
     "partitioned_apsp",
     "partitioned_bfs_from_sources",
-    "partitioned_recompute_sources",
 ]

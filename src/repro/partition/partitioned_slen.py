@@ -11,57 +11,25 @@ induced subgraph. This is exact (any path leaving ``P_i`` stays inside
 partitions reachable from ``P_i``), unlike a literal reading of Alg. 5's
 single-bridge composition; see DESIGN.md §3.
 
-Distribution: one Spark task per partition via ``applyInPandas`` — the
-"processed distributively based on the partitions" of §V-A. The win over
-the global engine is structural: per-partition BFS needs zero shuffle
-rounds, while the global iterative-join BFS shuffles once per hop level.
+Distribution: the partition id is the group key of the one BFS kernel
+(``spark_graph.bfs.grouped_bfs``), so each partition's BFS is one Spark
+task — the "processed distributively based on the partitions" of §V-A.
+The non-partitioned methods run the same kernel with the whole graph as
+a single group.
 """
 from __future__ import annotations
 
-from collections import deque
-
-import pandas as pd
 from pyspark.sql import DataFrame
 from pyspark.sql import functions as F
 
 from repro.partition.label_partition import partition_of_nodes, reach_closure
-from repro.spark_graph.slen import SLEN_SCHEMA
-
-_WORK_SCHEMA = "pid string, kind string, a long, b long"
-
-
-def _bfs_group(pdf: pd.DataFrame) -> pd.DataFrame:
-    """BFS from every source row over the edge rows of one partition group."""
-    adj: dict[int, list[int]] = {}
-    sources: list[int] = []
-    for kind, a, b in zip(pdf["kind"], pdf["a"], pdf["b"]):
-        if kind == "E":
-            adj.setdefault(int(a), []).append(int(b))
-        else:
-            sources.append(int(a))
-    out_src: list[int] = []
-    out_dst: list[int] = []
-    out_dist: list[int] = []
-    for s in sources:
-        dist = {s: 0}
-        q = deque([s])
-        while q:
-            u = q.popleft()
-            du = dist[u]
-            for v in adj.get(u, ()):  # unit weights: BFS == Dijkstra
-                if v not in dist:
-                    dist[v] = du + 1
-                    q.append(v)
-        out_src += [s] * len(dist)
-        out_dst += list(dist.keys())
-        out_dist += list(dist.values())
-    return pd.DataFrame({"src": out_src, "dst": out_dst, "dist": out_dist})
+from repro.spark_graph.bfs import grouped_bfs
 
 
 def _grouped_work(
     nodes: DataFrame, edges: DataFrame, sources: DataFrame
 ) -> DataFrame:
-    """Union frame (pid, kind, a, b): per-partition closure edges + sources."""
+    """Work frame (gid, kind, a, b): per-partition closure edges + sources."""
     closure = reach_closure(nodes, edges)
     p = partition_of_nodes(nodes)
     e_lab = edges.join(
@@ -70,7 +38,7 @@ def _grouped_work(
     per_pid_edges = closure.join(
         e_lab, closure.member_pid == e_lab.src_pid
     ).select(
-        "pid",
+        F.col("pid").alias("gid"),
         F.lit("E").alias("kind"),
         F.col("src").alias("a"),
         F.col("dst").alias("b"),
@@ -78,7 +46,7 @@ def _grouped_work(
     src_rows = (
         sources.join(p, "id")
         .select(
-            "pid",
+            F.col("pid").alias("gid"),
             F.lit("N").alias("kind"),
             F.col("id").alias("a"),
             F.lit(None).cast("long").alias("b"),
@@ -96,21 +64,10 @@ def partitioned_bfs_from_sources(
     start node lies in a partition reachable from ``P_i``, all of which
     are in P_i's closure subgraph.
     """
-    work = _grouped_work(nodes, edges, sources)
-    return work.groupBy("pid").applyInPandas(
-        lambda pdf: _bfs_group(pdf), schema=SLEN_SCHEMA
-    )
+    return grouped_bfs(_grouped_work(nodes, edges, sources))
 
 
 def partitioned_apsp(nodes: DataFrame, edges: DataFrame) -> DataFrame:
     """SLen (all finite pairs) with the partitioned engine (UA-GPNM's builder)."""
     return partitioned_bfs_from_sources(nodes, edges, nodes.select("id"))
 
-
-def partitioned_recompute_sources(
-    slen: DataFrame, nodes_new: DataFrame, edges_new: DataFrame, sources: DataFrame
-) -> DataFrame:
-    """Splice fresh partitioned-BFS rows for ``sources`` into ``slen``."""
-    kept = slen.join(sources.withColumnRenamed("id", "src"), ["src"], "left_anti")
-    fresh = partitioned_bfs_from_sources(nodes_new, edges_new, sources)
-    return kept.unionByName(fresh)

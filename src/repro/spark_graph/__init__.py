@@ -1,23 +1,17 @@
-"""Spark shortest-path substrate: BFS and SLen maintenance."""
+"""Spark shortest-path substrate: the BFS kernel and SLen maintenance."""
 from repro.spark_graph.bfs import bfs_from_sources, apsp
 from repro.spark_graph.slen import (
     SLEN_SCHEMA,
     affected_sources_edge_delete,
-    build_slen,
     changed_pairs_edge_insert,
-    recompute_sources,
     relax_edge_insert,
-    slen_changed_nodes,
 )
 
 __all__ = [
     "bfs_from_sources",
     "apsp",
     "SLEN_SCHEMA",
-    "build_slen",
     "relax_edge_insert",
     "changed_pairs_edge_insert",
     "affected_sources_edge_delete",
-    "recompute_sources",
-    "slen_changed_nodes",
 ]

@@ -1,68 +1,89 @@
-"""Unweighted multi-source BFS as iterative DataFrame joins.
+"""Unweighted multi-source BFS: the one shortest-path kernel.
 
-This is the *global* (non-partitioned) shortest-path engine used by the
-baseline methods and by UA-GPNM-NoPar: each BFS level is one
-frontier⋈edges join plus an anti-join against settled pairs, i.e. a pure
-Catalyst dataflow. Lineage is cut with ``localCheckpoint`` every level so
-plans stay constant-size across the (diameter-many) iterations.
+Every SLen build runs ``_bfs_group`` inside Python workers through
+``groupBy("gid").applyInPandas``. A *work frame* ``(gid, kind, a, b)``
+carries, per group ``gid``, its edge rows (``kind="E"``, edge ``a → b``)
+and its source rows (``kind="N"``, source ``a``); one task per group
+builds the group's adjacency and runs a queue BFS from each source.
+Callers differ only in how they group:
+
+* ``apsp`` / ``bfs_from_sources`` put the whole graph in a single group;
+  INC-GPNM, EH-GPNM, UA-GPNM-NoPar and ``gpnm_from_scratch`` use them.
+* ``partition.partitioned_slen`` makes one group per label partition over
+  its reach-closure subgraph (UA-GPNM, §V).
 
 The paper uses Dijkstra; on unit-weight social graphs BFS *is* Dijkstra.
 """
 from __future__ import annotations
 
+from collections import deque
+
+import pandas as pd
 from pyspark.sql import DataFrame
 from pyspark.sql import functions as F
 
+from repro.spark_graph.slen import SLEN_SCHEMA
 
-def bfs_from_sources(
-    edges: DataFrame, sources: DataFrame, *, max_iters: int = 64
-) -> DataFrame:
+
+def _bfs_group(pdf: pd.DataFrame) -> pd.DataFrame:
+    """BFS from every source row over the edge rows of one group."""
+    adj: dict[int, list[int]] = {}
+    sources: list[int] = []
+    for kind, a, b in zip(pdf["kind"], pdf["a"], pdf["b"]):
+        if kind == "E":
+            adj.setdefault(int(a), []).append(int(b))
+        else:
+            sources.append(int(a))
+    out_src: list[int] = []
+    out_dst: list[int] = []
+    out_dist: list[int] = []
+    for s in sources:
+        dist = {s: 0}
+        q = deque([s])
+        while q:
+            u = q.popleft()
+            du = dist[u]
+            for v in adj.get(u, ()):  # unit weights: BFS == Dijkstra
+                if v not in dist:
+                    dist[v] = du + 1
+                    q.append(v)
+        out_src += [s] * len(dist)
+        out_dst += list(dist.keys())
+        out_dist += list(dist.values())
+    return pd.DataFrame({"src": out_src, "dst": out_dst, "dist": out_dist})
+
+
+def grouped_bfs(work: DataFrame) -> DataFrame:
+    """Shortest-path rows ``(src, dst, dist)`` from every source of ``work``.
+
+    ``work`` is a ``(gid, kind, a, b)`` work frame (see module docstring);
+    each source's rows cover exactly the nodes reachable from it over its
+    group's edges, ``dist=0`` self row included.
+    """
+    return work.groupBy("gid").applyInPandas(_bfs_group, schema=SLEN_SCHEMA)
+
+
+def bfs_from_sources(edges: DataFrame, sources: DataFrame) -> DataFrame:
     """All finite shortest-path rows ``(src, dst, dist)`` from every source.
 
     ``edges``: (src, dst); ``sources``: (id). Includes the ``dist=0``
     self rows — SLen's diagonal, needed by the relax/compose rules.
     """
-    e = edges.select(F.col("src").alias("e_src"), F.col("dst").alias("e_dst"))
-    frontier = sources.select(
-        F.col("id").alias("src"), F.col("id").alias("dst"), F.lit(0).alias("dist")
-    ).localCheckpoint(eager=True)
-    # Settled pairs are kept as a lazy union of the (materialized) level
-    # frontiers, so each BFS level runs exactly one job: expand + anti-join
-    # + checkpoint. Nothing already settled is ever rewritten.
-    levels = [frontier]
-    for _ in range(max_iters):
-        settled = levels[0] if len(levels) == 1 else reduce_union(levels)
-        grown = (
-            # edge lists here are dimension-sized (≤ tens of thousands of
-            # rows); broadcasting avoids reshuffling the frontier per level
-            frontier.join(F.broadcast(e), frontier.dst == e.e_src)
-            .select(
-                F.col("src"),
-                F.col("e_dst").alias("dst"),
-                (F.col("dist") + 1).alias("dist"),
-            )
-            .groupBy("src", "dst")
-            .agg(F.min("dist").alias("dist"))
-        )
-        frontier = grown.join(settled, ["src", "dst"], "left_anti").localCheckpoint(
-            eager=True
-        )
-        if frontier.isEmpty():
-            break
-        levels.append(frontier)
-    return reduce_union(levels)
+    edge_rows = edges.select(
+        F.lit(0).alias("gid"),
+        F.lit("E").alias("kind"),
+        F.col("src").alias("a"),
+        F.col("dst").alias("b"),
+    )
+    source_rows = sources.select(
+        F.lit(0).alias("gid"),
+        F.lit("N").alias("kind"),
+        F.col("id").alias("a"),
+        F.lit(None).cast("long").alias("b"),
+    )
+    return grouped_bfs(edge_rows.unionByName(source_rows))
 
 
-def reduce_union(dfs: list[DataFrame]) -> DataFrame:
-    """Balanced unionByName over a list of DataFrames."""
-    while len(dfs) > 1:
-        dfs = [
-            dfs[i].unionByName(dfs[i + 1]) if i + 1 < len(dfs) else dfs[i]
-            for i in range(0, len(dfs), 2)
-        ]
-    return dfs[0]
-
-
-def apsp(nodes: DataFrame, edges: DataFrame, *, max_iters: int = 64) -> DataFrame:
+def apsp(nodes: DataFrame, edges: DataFrame) -> DataFrame:
     """All-pairs shortest path lengths (finite entries) = BFS from all nodes."""
-    return bfs_from_sources(edges, nodes.select("id"), max_iters=max_iters)
+    return bfs_from_sources(edges, nodes.select("id"))

@@ -12,16 +12,12 @@ GPNM methods compose:
 * ``affected_sources_edge_delete`` — sources whose shortest-path tree may
   use edge (a,b): ``{u : d(u,b) = d(u,a)+1}``; deletion re-runs BFS from
   exactly these (the paper's "Dijkstra for the affected nodes").
-* ``recompute_sources`` — splice re-BFS'd rows for a source set into SLen.
-* ``slen_changed_nodes`` — Aff_N via full-outer diff of two SLen frames.
 """
 from __future__ import annotations
 
 from pyspark.sql import DataFrame
 from pyspark.sql import functions as F
 from pyspark.sql import types as T
-
-from repro.spark_graph.bfs import apsp, bfs_from_sources
 
 SLEN_SCHEMA = T.StructType(
     [
@@ -32,9 +28,21 @@ SLEN_SCHEMA = T.StructType(
 )
 
 
-def build_slen(nodes: DataFrame, edges: DataFrame) -> DataFrame:
-    """Construct SLen from scratch with the global BFS engine."""
-    return apsp(nodes, edges)
+def _walks_via_edge(slen: DataFrame, a: int, b: int) -> DataFrame:
+    """``(src, dst, via)``: length of the shortest walk ``src ⇝ a → b ⇝ dst``.
+
+    One row per ``src`` reaching ``a`` and ``dst`` reachable from ``b``;
+    ``via = d(src, a) + 1 + d(b, dst)``, from SLen's existing rows.
+    """
+    to_a = slen.filter(F.col("dst") == a).select(
+        "src", F.col("dist").alias("d_ua")
+    )
+    from_b = slen.filter(F.col("src") == b).select(
+        "dst", F.col("dist").alias("d_bv")
+    )
+    return to_a.crossJoin(F.broadcast(from_b)).select(
+        "src", "dst", (F.col("d_ua") + 1 + F.col("d_bv")).alias("via")
+    )
 
 
 def relax_edge_insert(slen: DataFrame, a: int, b: int) -> DataFrame:
@@ -45,17 +53,7 @@ def relax_edge_insert(slen: DataFrame, a: int, b: int) -> DataFrame:
     The ``dist=0`` diagonal rows make the pure ``(u,b)`` / ``(a,v)``
     cases fall out of the same join.
     """
-    to_a = slen.filter(F.col("dst") == a).select(
-        F.col("src").alias("u"), F.col("dist").alias("d_ua")
-    )
-    from_b = slen.filter(F.col("src") == b).select(
-        F.col("dst").alias("v"), F.col("dist").alias("d_bv")
-    )
-    via = to_a.crossJoin(F.broadcast(from_b)).select(
-        F.col("u").alias("src"),
-        F.col("v").alias("dst"),
-        (F.col("d_ua") + 1 + F.col("d_bv")).alias("dist"),
-    )
+    via = _walks_via_edge(slen, a, b).withColumnRenamed("via", "dist")
     return (
         slen.unionByName(via)
         .groupBy("src", "dst")
@@ -70,17 +68,11 @@ def changed_pairs_edge_insert(slen: DataFrame, a: int, b: int) -> DataFrame:
     time. This is DER-II's affected-pair set for an insertion, computed
     without a BFS.
     """
-    to_a = slen.filter(F.col("dst") == a).select(
-        F.col("src").alias("u"), F.col("dist").alias("d_ua")
+    via = (
+        _walks_via_edge(slen, a, b)
+        .groupBy("src", "dst")
+        .agg(F.min("via").alias("new_dist"))
     )
-    from_b = slen.filter(F.col("src") == b).select(
-        F.col("dst").alias("v"), F.col("dist").alias("d_bv")
-    )
-    via = to_a.crossJoin(F.broadcast(from_b)).select(
-        F.col("u").alias("src"),
-        F.col("v").alias("dst"),
-        (F.col("d_ua") + 1 + F.col("d_bv")).alias("new_dist"),
-    ).groupBy("src", "dst").agg(F.min("new_dist").alias("new_dist"))
     joined = via.join(
         slen.withColumnRenamed("dist", "old_dist"), ["src", "dst"], "left"
     )
@@ -108,33 +100,3 @@ def affected_sources_edge_delete(slen: DataFrame, a: int, b: int) -> DataFrame:
         .select("id")
     )
 
-
-def recompute_sources(
-    slen: DataFrame, edges_new: DataFrame, sources: DataFrame
-) -> DataFrame:
-    """Replace the SLen rows of ``sources`` with fresh BFS rows on ``edges_new``."""
-    kept = slen.join(
-        sources.withColumnRenamed("id", "src"), ["src"], "left_anti"
-    )
-    fresh = bfs_from_sources(edges_new, sources)
-    return kept.unionByName(fresh)
-
-
-def slen_changed_nodes(old: DataFrame, new: DataFrame) -> DataFrame:
-    """Aff_N(U_Di): distinct endpoints of pairs whose distance differs.
-
-    Pairs present on one side only (reachability gained/lost) count as
-    changed, matching the paper's Example 8 (∞ → finite).
-    """
-    o = old.select("src", "dst", F.col("dist").alias("old_dist"))
-    n = new.select("src", "dst", F.col("dist").alias("new_dist"))
-    diff = o.join(n, ["src", "dst"], "full_outer").filter(
-        F.col("old_dist").isNull()
-        | F.col("new_dist").isNull()
-        | (F.col("old_dist") != F.col("new_dist"))
-    )
-    return (
-        diff.select(F.col("src").alias("id"))
-        .unionByName(diff.select(F.col("dst").alias("id")))
-        .distinct()
-    )

@@ -113,6 +113,15 @@ def test_gpnm_from_scratch_builds_slen(spark):
     expected = ref_gpnm(gp, labels, edges)
     assert {p: got.get(p, set()) for p in gp.nodes} == expected
 
+    # A 70-node directed path: the only A (node 0) reaches the only B
+    # (node 69) in 69 hops, so a STAR edge A → B matches both.
+    labels = {i: "C" for i in range(70)} | {0: "A", 69: "B"}
+    edges = [(i, i + 1) for i in range(69)]
+    dg = DataGraph.from_edge_list(spark, labels, edges)
+    gp = PatternGraph.of({0: "A", 1: "B"}, [(0, 1, STAR)])
+    got = matches_to_dict(gpnm_from_scratch(spark, dg, gp))
+    assert got == ref_gpnm(gp, labels, edges) == {0: {0}, 1: {69}}
+
 
 def test_multiple_pattern_nodes_same_label(spark, inst):
     labels, edges, dg, slen = inst

@@ -11,7 +11,6 @@ from repro.spark_graph.slen import (
     affected_sources_edge_delete,
     changed_pairs_edge_insert,
     relax_edge_insert,
-    slen_changed_nodes,
 )
 from tests.util import tiny_graph
 
@@ -86,12 +85,12 @@ class TestEdgeDelete:
         got = {r.id for r in affected_sources_edge_delete(slen, a, b).collect()}
         assert truly_changed <= got
 
-    @pytest.mark.parametrize("idx", [0, 5, 11])
+    @pytest.mark.parametrize("idx", [0, 3, 5, 11])
     def test_delete_step_exact(self, spark, inst, idx):
         labels, edges, dg, slen = inst
         a, b = edges[idx]
         u = Update(graph="D", kind="edge_del", src=a, dst=b)
-        out, dg_new = _slen_step(spark, slen, dg, u, partitioned=False)
+        out, dg_new = _slen_step(spark, slen, dg, u)
         new_edges = [e for e in edges if e != (a, b)]
         assert _slen_dict(out) == ref_apsp(sorted(labels), new_edges)
 
@@ -109,7 +108,7 @@ class TestNodeUpdates:
             label="A",
             attach_edges=((anchor, nid), (nid, sorted(labels)[seed + 3])),
         )
-        out, _ = _slen_step(spark, slen, dg, u, partitioned=False)
+        out, _ = _slen_step(spark, slen, dg, u)
         new_labels, new_edges = apply_updates_data(labels, edges, [u])
         assert _slen_dict(out) == ref_apsp(sorted(new_labels), new_edges)
 
@@ -118,35 +117,6 @@ class TestNodeUpdates:
         labels, edges, dg, slen = inst
         x = sorted(labels)[seed * 7 + 2]
         u = Update(graph="D", kind="node_del", node=x)
-        out, _ = _slen_step(spark, slen, dg, u, partitioned=False)
+        out, _ = _slen_step(spark, slen, dg, u)
         new_labels, new_edges = apply_updates_data(labels, edges, [u])
         assert _slen_dict(out) == ref_apsp(sorted(new_labels), new_edges)
-
-    @pytest.mark.parametrize("partitioned", [False, True])
-    def test_delete_step_both_engines_agree(self, spark, inst, partitioned):
-        labels, edges, dg, slen = inst
-        a, b = edges[3]
-        u = Update(graph="D", kind="edge_del", src=a, dst=b)
-        out, _ = _slen_step(spark, slen, dg, u, partitioned=partitioned)
-        assert _slen_dict(out) == ref_apsp(
-            sorted(labels), [e for e in edges if e != (a, b)]
-        )
-
-
-class TestSlenDiff:
-    def test_changed_nodes_matches_reference(self, spark, inst):
-        labels, edges, dg, slen = inst
-        a, b = _nonedge(labels, edges, 99)
-        new = relax_edge_insert(slen, a, b)
-        got = {r.id for r in slen_changed_nodes(slen, new).collect()}
-        old_d = ref_apsp(sorted(labels), edges)
-        new_d = ref_apsp(sorted(labels), edges + [(a, b)])
-        expected = set()
-        for k in set(old_d) | set(new_d):
-            if old_d.get(k) != new_d.get(k):
-                expected.update(k)
-        assert got == expected
-
-    def test_no_change_empty(self, spark, inst):
-        _, _, _, slen = inst
-        assert slen_changed_nodes(slen, slen).isEmpty()

@@ -27,9 +27,14 @@ def _recursive_cte(n_cap: int) -> str:
     """
 
 
-@pytest.mark.parametrize("seed", SEEDS)
-def test_apsp_matches_reference(spark, seed):
-    labels, edges = tiny_graph(seed)
+def _path(n: int) -> tuple[dict[int, str], list[tuple[int, int]]]:
+    """The directed path 0 → 1 → … → n-1: its longest shortest path is n-1 hops."""
+    return {i: "A" for i in range(n)}, [(i, i + 1) for i in range(n - 1)]
+
+
+@pytest.mark.parametrize("case", SEEDS + ["path70"])
+def test_apsp_matches_reference(spark, case):
+    labels, edges = _path(70) if case == "path70" else tiny_graph(case)
     dg = DataGraph.from_edge_list(spark, labels, edges)
     got = {(r.src, r.dst): r.dist for r in apsp(dg.nodes, dg.edges).collect()}
     assert got == ref_apsp(sorted(labels), edges)
