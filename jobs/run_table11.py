@@ -43,8 +43,9 @@ def main() -> None:
                 file=sys.stderr,
             )
         rows[name] = mean_times(runs)
-        paper_rows_t11[name] = PAPER_TABLE11[DATASETS[name].paper_name]
-        paper_rows_t12[name] = PAPER_TABLE12[DATASETS[name].paper_name]
+        paper_name = DATASETS[name].paper_name
+        paper_rows_t11[name] = (paper_name, PAPER_TABLE11[paper_name])
+        paper_rows_t12[name] = (paper_name, PAPER_TABLE12[paper_name])
 
     out = (
         emit_time_table(

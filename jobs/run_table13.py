@@ -64,8 +64,9 @@ def main() -> None:
                 file=sys.stderr,
             )
         rows[scale_key(i)] = mean_times(runs)
-        paper13[scale_key(i)] = PAPER_TABLE13[PAPER_KEYS[i]]
-        paper14[scale_key(i)] = PAPER_TABLE14[PAPER_KEYS[i]]
+        paper_key = PAPER_KEYS[i]
+        paper13[scale_key(i)] = (paper_key, PAPER_TABLE13[paper_key])
+        paper14[scale_key(i)] = (paper_key, PAPER_TABLE14[paper_key])
 
     out = (
         emit_time_table(

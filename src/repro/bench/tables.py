@@ -67,6 +67,11 @@ def mean_times(stats_runs: list[dict[str, RunStats]]) -> dict[str, float]:
     return out
 
 
+#: Paper rows to print under measured rows: measured row key →
+#: (the paper's own name for the row, its published numbers).
+PaperRows = dict[str, tuple[str, dict[str, float]]]
+
+
 def _fmt_row(cells: list[str], widths: list[int]) -> str:
     return "| " + " | ".join(c.ljust(w) for c, w in zip(cells, widths)) + " |"
 
@@ -74,7 +79,7 @@ def _fmt_row(cells: list[str], widths: list[int]) -> str:
 def emit_time_table(
     title: str,
     rows: dict[str, dict[str, float]],
-    paper: dict[str, dict[str, float]] | None = None,
+    paper: PaperRows | None = None,
     row_label: str = "Dataset",
 ) -> str:
     """Markdown: measured seconds per method (optionally with paper's row)."""
@@ -88,10 +93,11 @@ def emit_time_table(
             _fmt_row([key] + [f"{times[m]:.2f}s" for m in METHOD_ORDER], widths)
         )
         if paper and key in paper:
+            name, published = paper[key]
             lines.append(
                 _fmt_row(
-                    [f"  (paper: {key})"]
-                    + [f"{paper[key][m]:.2f}s" for m in METHOD_ORDER],
+                    [f"  (paper: {name})"]
+                    + [f"{published[m]:.2f}s" for m in METHOD_ORDER],
                     widths,
                 )
             )
@@ -101,7 +107,7 @@ def emit_time_table(
 def emit_reduction_table(
     title: str,
     rows: dict[str, dict[str, float]],
-    paper: dict[str, dict[str, float]] | None = None,
+    paper: PaperRows | None = None,
     row_label: str = "Dataset",
 ) -> str:
     """Markdown: % reduction of UA-GPNM vs each comparison method."""
@@ -115,10 +121,11 @@ def emit_reduction_table(
             _fmt_row([key] + [f"{red[c]:.2f}% less" for c in comps], widths)
         )
         if paper and key in paper:
+            name, published = paper[key]
             lines.append(
                 _fmt_row(
-                    [f"  (paper: {key})"]
-                    + [f"{paper[key][c]:.2f}% less" for c in comps],
+                    [f"  (paper: {name})"]
+                    + [f"{published[c]:.2f}% less" for c in comps],
                     widths,
                 )
             )

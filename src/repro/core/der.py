@@ -27,10 +27,12 @@ from __future__ import annotations
 from pyspark.sql import DataFrame, SparkSession
 from pyspark.sql import functions as F
 
-from repro.graphs.datagraph import DataGraph
+from repro.frames import local_frame
+from repro.graphs.datagraph import ID_SCHEMA, DataGraph
 from repro.graphs.pattern import PatternGraph
 from repro.graphs.updates import Update
 from repro.spark_graph.slen import (
+    SLEN_SCHEMA,
     _walks_via_edge,
     changed_pairs_edge_insert,
     relax_edge_insert,
@@ -150,9 +152,7 @@ def _pairs_through_node(slen: DataFrame, x: int) -> DataFrame:
 
 def _with_self_row(spark: SparkSession, slen: DataFrame, x: int) -> DataFrame:
     """SLen plus the ``(x, x, 0)`` diagonal row of a newly inserted node."""
-    return slen.unionByName(
-        spark.createDataFrame([(x, x, 0)], schema="src long, dst long, dist long")
-    )
+    return slen.unionByName(local_frame(spark, [(x, x, 0)], SLEN_SCHEMA))
 
 
 def slen_after_insertion(spark: SparkSession, slen: DataFrame, u: Update) -> DataFrame:
@@ -186,7 +186,7 @@ def affected_nodes_data_update(
         return _endpoints(_pairs_through_edge(slen, u.src, u.dst))
     if u.kind == "node_ins":
         cur = _with_self_row(spark, slen, u.node)
-        out = spark.createDataFrame([(u.node,)], schema="id long")
+        out = local_frame(spark, [(u.node,)], ID_SCHEMA)
         for a, b in u.attach_edges:
             out = out.unionByName(_endpoints(changed_pairs_edge_insert(cur, a, b)))
             cur = relax_edge_insert(cur, a, b).localCheckpoint(eager=True)

@@ -19,9 +19,10 @@ refinement runs over candidate-sized state):
    as Spark jobs instead would pay one shuffle round per removal wave.
 
 Removal fixpoints started from any superset of the (unique, maximal)
-simulation converge to it, so callers may pass a restricted candidate
-``universe`` (previous matches ∪ an update's candidate region) for
-incremental passes — see DESIGN.md §5.
+simulation converge to it. A restricted candidate ``universe`` (previous
+matches ∪ an update's candidate region) is not always such a superset —
+a match can be gained outside both (DESIGN.md §3) — so it serves only the
+intermediate regional passes; every final answer uses the full universe.
 
 Per the GPNM definition, if any pattern node ends up with zero matches
 then BGS has no match at all and every ``N_pi`` is empty.
@@ -34,6 +35,7 @@ from pyspark.sql import DataFrame, SparkSession
 from pyspark.sql import functions as F
 from pyspark.sql import types as T
 
+from repro.frames import local_frame
 from repro.graphs.pattern import PatternGraph
 
 MATCH_SCHEMA = T.StructType(
@@ -56,7 +58,7 @@ def label_candidates(
 
 
 def _empty_matches(spark: SparkSession) -> DataFrame:
-    return spark.createDataFrame([], schema=MATCH_SCHEMA)
+    return local_frame(spark, [], MATCH_SCHEMA)
 
 
 def _support_rows(
@@ -150,7 +152,7 @@ def match_fixpoint(
     matched_pids = {p for p, _ in alive}
     if matched_pids != set(pattern.nodes):
         return _empty_matches(spark)
-    return spark.createDataFrame(sorted(alive), schema=MATCH_SCHEMA)
+    return local_frame(spark, sorted(alive), MATCH_SCHEMA)
 
 
 def matches_to_dict(matches: DataFrame) -> dict[int, set[int]]:

@@ -45,7 +45,8 @@ from repro.core.der import (
 )
 from repro.core.ehtree import build_ehtree, eliminated_uids, root_uids
 from repro.core.matching import label_candidates, match_fixpoint
-from repro.graphs.datagraph import DataGraph
+from repro.frames import local_frame
+from repro.graphs.datagraph import EDGES_SCHEMA, ID_SCHEMA, NODES_SCHEMA, DataGraph
 from repro.graphs.pattern import PatternGraph
 from repro.graphs.updates import Update, apply_updates_pattern
 from repro.partition.partitioned_slen import partitioned_apsp
@@ -100,21 +101,17 @@ def apply_data_updates_spark(
     nodes = dg.nodes
     edges = dg.edges
     if ins_nodes:
-        nodes = nodes.unionByName(
-            spark.createDataFrame(ins_nodes, schema="id long, label string")
-        )
+        nodes = nodes.unionByName(local_frame(spark, ins_nodes, NODES_SCHEMA))
     if del_nodes:
-        dn = spark.createDataFrame(del_nodes, schema="id long")
+        dn = local_frame(spark, del_nodes, ID_SCHEMA)
         nodes = nodes.join(dn, "id", "left_anti")
         edges = edges.join(dn.withColumnRenamed("id", "src"), "src", "left_anti").join(
             dn.withColumnRenamed("id", "dst"), "dst", "left_anti"
         )
     if ins_edges:
-        edges = edges.unionByName(
-            spark.createDataFrame(ins_edges, schema="src long, dst long")
-        ).distinct()
+        edges = edges.unionByName(local_frame(spark, ins_edges, EDGES_SCHEMA)).distinct()
     if del_edges:
-        de = spark.createDataFrame(del_edges, schema="src long, dst long")
+        de = local_frame(spark, del_edges, EDGES_SCHEMA)
         edges = edges.join(de, ["src", "dst"], "left_anti")
     return DataGraph(
         nodes=nodes.select("id", "label").localCheckpoint(eager=True),
@@ -247,8 +244,8 @@ def eh_gpnm(
         stats.n_slen_passes += 1
         if u.uid in d_roots:
             with stats.phase("refine"):
-                region = spark.createDataFrame(
-                    [(i,) for i in sorted(aff_sets[u.uid])] or [], schema="id long"
+                region = local_frame(
+                    spark, [(i,) for i in sorted(aff_sets[u.uid])], ID_SCHEMA
                 )
                 universe = _regional_universe(spark, gp, dg_cur.nodes, matches, region)
                 matches = match_fixpoint(spark, gp, slen_cur, dg_cur.nodes, universe)
@@ -333,9 +330,7 @@ def ua_gpnm(
     all_sets = {**aff_sets, **can_sets}
     for uid in root_uids(roots):
         with stats.phase("refine"):
-            region = spark.createDataFrame(
-                [(i,) for i in sorted(all_sets[uid])] or [], schema="id long"
-            )
+            region = local_frame(spark, [(i,) for i in sorted(all_sets[uid])], ID_SCHEMA)
             universe = _regional_universe(spark, gp_new, dg_new.nodes, matches, region)
             matches = match_fixpoint(spark, gp_new, slen_new, dg_new.nodes, universe)
         stats.n_refine_passes += 1

@@ -1,0 +1,31 @@
+"""Driver-built Spark DataFrames.
+
+Every small frame the driver assembles from Python values (update
+batches, update regions, matching results, the partition closure) goes
+through ``local_frame``. It hands Spark a typed pandas frame instead of a
+list of tuples: with ``spark.sql.execution.arrow.pyspark.enabled`` the
+rows then travel to the JVM as one Arrow batch, where a list is shipped
+as a Python RDD and every action on the frame, or on any frame built
+from it, pays a Python-worker round trip (DESIGN.md §6). With Arrow off,
+PySpark converts the pandas frame row by row: same rows, same schema.
+"""
+from __future__ import annotations
+
+from collections.abc import Iterable
+
+import pandas as pd
+from pyspark.sql import DataFrame, SparkSession
+from pyspark.sql import types as T
+
+#: pandas dtype holding each Spark column type the program builds.
+_PANDAS_DTYPE = {T.LongType(): "int64", T.StringType(): "object"}
+
+
+def local_frame(
+    spark: SparkSession, rows: Iterable[tuple], schema: T.StructType
+) -> DataFrame:
+    """``rows`` (tuples in ``schema``'s column order) as a DataFrame of ``schema``."""
+    pdf = pd.DataFrame(list(rows), columns=schema.names).astype(
+        {f.name: _PANDAS_DTYPE[f.dataType] for f in schema.fields}
+    )
+    return spark.createDataFrame(pdf, schema=schema)

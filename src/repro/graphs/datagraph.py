@@ -30,6 +30,8 @@ EDGES_SCHEMA = T.StructType(
         T.StructField("dst", T.LongType(), False),
     ]
 )
+#: A set of node ids: deleted nodes, an update's region.
+ID_SCHEMA = T.StructType([T.StructField("id", T.LongType(), False)])
 
 
 @dataclass(frozen=True)

@@ -13,9 +13,10 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-import pandas as pd
 from pyspark.sql import DataFrame, SparkSession
 from pyspark.sql import types as T
+
+from repro.frames import local_frame
 
 #: Bound sentinel for the paper's "*" (any finite path length).
 STAR: int = 1 << 30
@@ -80,18 +81,10 @@ class PatternGraph:
 
     # -- views ------------------------------------------------------------
     def nodes_df(self, spark: SparkSession) -> DataFrame:
-        pdf = pd.DataFrame(
-            {"pid": list(self.nodes.keys()), "plabel": list(self.nodes.values())}
-        )
-        return spark.createDataFrame(pdf, schema=PNODES_SCHEMA)
+        return local_frame(spark, self.nodes.items(), PNODES_SCHEMA)
 
     def edges_df(self, spark: SparkSession) -> DataFrame:
-        rows = [
-            {"eid": i, "pu": pu, "pv": pv, "bound": bound}
-            for i, (pu, pv, bound) in enumerate(self.edges)
-        ]
-        pdf = pd.DataFrame(rows, columns=["eid", "pu", "pv", "bound"])
-        return spark.createDataFrame(pdf, schema=PEDGES_SCHEMA)
+        return local_frame(spark, [(i, *e) for i, e in enumerate(self.edges)], PEDGES_SCHEMA)
 
     def out_edges(self, pid: int) -> list[tuple[int, int, int]]:
         return [e for e in self.edges if e[0] == pid]

@@ -20,6 +20,16 @@ from __future__ import annotations
 
 from pyspark.sql import DataFrame
 from pyspark.sql import functions as F
+from pyspark.sql import types as T
+
+from repro.frames import local_frame
+
+CLOSURE_SCHEMA = T.StructType(
+    [
+        T.StructField("pid", T.StringType(), False),
+        T.StructField("member_pid", T.StringType(), False),
+    ]
+)
 
 
 def partition_of_nodes(nodes: DataFrame) -> DataFrame:
@@ -90,4 +100,4 @@ def reach_closure(nodes: DataFrame, edges: DataFrame) -> DataFrame:
                     seen.add(nxt)
                     stack.append(nxt)
         rows += [(p, m) for m in sorted(seen)]
-    return spark.createDataFrame(rows, schema="pid string, member_pid string")
+    return local_frame(spark, rows, CLOSURE_SCHEMA)

@@ -59,8 +59,15 @@ class TestEmitters:
         assert "1.00s" in md and "4.00s" in md
 
     def test_time_table_includes_paper_row(self):
-        md = emit_time_table("T", self.ROWS, {"demo": self.ROWS["demo"]})
-        assert "(paper: demo)" in md
+        """The paper row carries the paper's own name, not the measured key."""
+        md = emit_time_table("T", self.ROWS, {"demo": ("email-EU-core", self.ROWS["demo"])})
+        assert "(paper: email-EU-core)" in md
+        assert "(paper: demo)" not in md
+
+    def test_reduction_table_labels_paper_row_with_paper_name(self):
+        md = emit_reduction_table("T", self.ROWS, {"demo": ("(6, 200)", PAPER_TABLE14["(6, 200)"])})
+        assert "(paper: (6, 200))" in md
+        assert "47.85% less" in md
 
     def test_reduction_table(self):
         md = emit_reduction_table("T", self.ROWS)

@@ -1,0 +1,75 @@
+"""``local_frame`` builds the same frame as a plain ``createDataFrame``, and
+is the only way the program builds a driver-side frame."""
+import ast
+from pathlib import Path
+
+import pytest
+
+from repro.core.matching import MATCH_SCHEMA
+from repro.frames import local_frame
+from repro.graphs.datagraph import EDGES_SCHEMA, ID_SCHEMA, NODES_SCHEMA
+from repro.graphs.pattern import PEDGES_SCHEMA, PNODES_SCHEMA, STAR
+from repro.partition.label_partition import CLOSURE_SCHEMA
+from repro.spark_graph.slen import SLEN_SCHEMA
+
+SRC = Path(__file__).resolve().parents[1] / "src" / "repro"
+
+CASES = {
+    "match": (MATCH_SCHEMA, [(0, 3), (1, 4), (2, 5)]),
+    "match-empty": (MATCH_SCHEMA, []),
+    "id": (ID_SCHEMA, [(7,), (1,)]),
+    "id-empty": (ID_SCHEMA, []),
+    "nodes": (NODES_SCHEMA, [(0, "A"), (1, "B")]),
+    "edges": (EDGES_SCHEMA, [(0, 1), (1, 2)]),
+    "slen-star": (SLEN_SCHEMA, [(4, 4, 0), (0, 9, STAR)]),
+    "closure": (CLOSURE_SCHEMA, [("A", "A"), ("A", "B"), ("B", "B")]),
+    "pattern-nodes": (PNODES_SCHEMA, [(0, "A"), (1, "B")]),
+    "pattern-edges": (PEDGES_SCHEMA, [(0, 0, 1, 2), (1, 1, 0, STAR)]),
+}
+
+
+@pytest.fixture
+def arrow_only(spark):
+    """Fail instead of silently falling back to the row-by-row path."""
+    key = "spark.sql.execution.arrow.pyspark.fallback.enabled"
+    before = spark.conf.get(key)
+    spark.conf.set(key, "false")
+    try:
+        yield spark
+    finally:
+        spark.conf.set(key, before)
+
+
+@pytest.mark.parametrize("case", list(CASES))
+def test_local_frame_equals_create_data_frame(arrow_only, case):
+    schema, rows = CASES[case]
+    got = local_frame(arrow_only, rows, schema)
+    want = arrow_only.createDataFrame(rows, schema)
+    assert got.schema == want.schema == schema
+    assert sorted(got.collect()) == sorted(want.collect())
+
+
+def _create_data_frame_callers() -> set[tuple[str, str]]:
+    """(module path, innermost enclosing function) of every ``createDataFrame``."""
+    found = set()
+    for path in SRC.rglob("*.py"):
+        tree = ast.parse(path.read_text())
+        fns = [n for n in ast.walk(tree) if isinstance(n, (ast.FunctionDef, ast.AsyncFunctionDef))]
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Attribute) and node.attr == "createDataFrame":
+                owner = min(
+                    (f for f in fns if f.lineno <= node.lineno <= f.end_lineno),
+                    key=lambda f: f.end_lineno - f.lineno,
+                    default=None,
+                )
+                found.add((path.relative_to(SRC).as_posix(), owner.name if owner else "<module>"))
+    return found
+
+
+def test_only_local_frame_calls_create_data_frame():
+    """A list-built frame costs a Python-worker round trip on every action
+    (DESIGN.md §6); ``DataGraph.from_pandas`` already holds a pandas frame."""
+    assert _create_data_frame_callers() == {
+        ("frames.py", "local_frame"),
+        ("graphs/datagraph.py", "from_pandas"),
+    }
