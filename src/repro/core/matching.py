@@ -6,17 +6,32 @@ bound ``k`` there exists a match ``v'`` of ``u'`` with
 ``SLen(v, v') ≤ k`` (``*`` ⇒ any finite length, encoded as the STAR
 sentinel which every finite SLen entry satisfies).
 
-Execution is split by data volume, mirroring the paper's own split
-(SLen + candidate identification are the expensive part; the simulation
-refinement runs over candidate-sized state):
+Execution is split by data volume. A pass makes two Spark actions, both
+read to the driver through Arrow (``toPandas``); everything after them
+runs on candidate-sized driver state:
 
-1. The *support join* — candidate pairs ⋈ pattern edges ⋈ the (large)
-   SLen table ⋈ target candidates — is one Catalyst join pipeline.
-2. The removal cascade (Henzinger-style counting worklist) runs
-   driver-side over the collected support rows: candidate-pair-sized
-   state, and a removal only ever invalidates pairs that had the removed
-   witness, all of which are in the support table. Iterating the cascade
-   as Spark jobs instead would pay one shuffle round per removal wave.
+1. The candidate pairs: the label-consistent pairs of the current
+   graphs, or the caller's universe restricted to them.
+2. The SLen rows the support check can use: source among the candidates
+   of some edge's source node, target among the candidates of some
+   edge's target node, distance within the largest bound (no bound if
+   any edge is ``*``). SLen is the only input that scales with the
+   graph, and this filter is its only scan.
+3. On the driver, each candidate's witnesses per pattern edge come from
+   those rows, and the removal cascade (Henzinger-style counting
+   worklist) runs over them: a removal only ever invalidates pairs that
+   had the removed witness.
+
+Reading the filtered rows moves more data than joining them in Spark
+would: on a full pass with an 8-node pattern of largest bound 3,
+13 461 SLen rows instead of 2 948 support rows on email-lite, and
+70 886 (1.7 MB) instead of 14 611 on livejournal-lite. At this size a
+Spark job costs more than those bytes. The join in Spark needs the
+candidates back in Spark (a checkpoint) and broadcasts of the
+candidate-sized sides: 7 jobs and about 390 ms a full pass on the
+benchmark's 100-node email graph, against 2 jobs and about 150 ms here.
+An Arrow read of 10 000 rows takes less than half the time of a
+``collect()`` of them (DESIGN.md §6).
 
 Removal fixpoints started from any superset of the (unique, maximal)
 simulation converge to it. A restricted candidate ``universe`` (previous
@@ -31,12 +46,13 @@ from __future__ import annotations
 
 from collections import defaultdict, deque
 
+import numpy as np
 from pyspark.sql import DataFrame, SparkSession
 from pyspark.sql import functions as F
 from pyspark.sql import types as T
 
 from repro.frames import local_frame
-from repro.graphs.pattern import PatternGraph
+from repro.graphs.pattern import STAR, PatternGraph
 
 MATCH_SCHEMA = T.StructType(
     [
@@ -49,11 +65,27 @@ MATCH_SCHEMA = T.StructType(
 def label_candidates(
     spark: SparkSession, pattern: PatternGraph, nodes: DataFrame
 ) -> DataFrame:
-    """All label-consistent pairs (pid, vid) — the from-scratch universe."""
-    pnodes = pattern.nodes_df(spark)
-    return (
-        nodes.join(F.broadcast(pnodes), pnodes.plabel == nodes.label)
-        .select("pid", F.col("id").alias("vid"))
+    """All label-consistent pairs (pid, vid) — the from-scratch universe.
+
+    The pattern's label → pids map is a literal, so this is one explode
+    over ``nodes``, with no join.
+    """
+    pids_by_label: dict[str, list[int]] = defaultdict(list)
+    for pid, label in sorted(pattern.nodes.items()):
+        pids_by_label[label].append(pid)
+    if not pids_by_label:
+        return _empty_matches(spark)
+    # Each pid list crosses to the JVM as one numpy array, not one call per pid.
+    pids_of = F.create_map(
+        *(
+            col
+            for label, pids in pids_by_label.items()
+            for col in (F.lit(label), F.lit(np.array(pids, dtype=np.int64)))
+        )
+    )
+    # A label outside the map gives a null array, which explodes to no rows.
+    return nodes.select(
+        F.explode(pids_of[F.col("label")]).alias("pid"), F.col("id").alias("vid")
     )
 
 
@@ -61,30 +93,27 @@ def _empty_matches(spark: SparkSession) -> DataFrame:
     return local_frame(spark, [], MATCH_SCHEMA)
 
 
-def _support_rows(
-    spark: SparkSession,
-    pattern: PatternGraph,
-    slen: DataFrame,
-    cand: DataFrame,
-) -> list:
-    """Collect (pid, vid, eid, tvid): candidate (pid,vid) is supported on
-    pattern edge ``eid`` by witness candidate (pv, tvid) within the bound."""
-    pedges = pattern.edges_df(spark)
-    sl = slen.select(
-        F.col("src").alias("s_src"), F.col("dst").alias("s_dst"), F.col("dist")
-    )
-    tgt = cand.select(F.col("pid").alias("t_pid"), F.col("vid").alias("t_vid"))
-    req = cand.join(F.broadcast(pedges), cand.pid == pedges.pu).select(
-        "pid", "vid", "eid", "pv", "bound"
-    )
-    # req/tgt are candidate-sized; slen is the only large input — keep it
-    # shuffle-free by broadcasting the small sides into it.
-    sup = (
-        sl.join(F.broadcast(req), (sl.s_src == F.col("vid")) & (sl.dist <= F.col("bound")))
-        .join(F.broadcast(tgt), (F.col("t_pid") == F.col("pv")) & (F.col("t_vid") == sl.s_dst))
-        .select("pid", "vid", "eid", F.col("t_vid").alias("tvid"))
-    )
-    return sup.collect()
+def _id_list(ids: set[int]) -> str:
+    """``ids`` as SQL integer literals. A filter string is parsed in one JVM
+    call, where ``Column.isin`` makes one per id (~0.6 ms each)."""
+    return ", ".join(map(str, sorted(ids)))
+
+
+def _slen_rows(
+    pattern: PatternGraph, slen: DataFrame, cands: dict[int, set[int]]
+) -> dict[int, list[tuple[int, int]]]:
+    """``{src: [(dst, dist)]}`` for every SLen row a pattern edge can use."""
+    srcs = set().union(*(cands[pu] for pu, _, _ in pattern.edges))
+    dsts = set().union(*(cands[pv] for _, pv, _ in pattern.edges))
+    cond = f"src IN ({_id_list(srcs)}) AND dst IN ({_id_list(dsts)})"
+    bounds = {bound for _, _, bound in pattern.edges}
+    if STAR not in bounds:
+        cond += f" AND dist <= {max(bounds)}"
+    pdf = slen.filter(cond).select("src", "dst", "dist").toPandas()
+    near: dict[int, list[tuple[int, int]]] = defaultdict(list)
+    for s, d, dist in zip(pdf["src"].tolist(), pdf["dst"].tolist(), pdf["dist"].tolist()):
+        near[s].append((d, dist))
+    return near
 
 
 def match_fixpoint(
@@ -106,37 +135,45 @@ def match_fixpoint(
     # Clamp the universe to currently-valid label pairs: a caller-supplied
     # universe may carry stale pairs (deleted data nodes, deleted pattern
     # nodes) from a previous result — simulation is only defined over
-    # label-consistent pairs of the *current* graphs.
+    # label-consistent pairs of the *current* graphs. One read brings both
+    # sides, the universe's rows tagged, and the driver intersects them: a
+    # join would cost two shuffles for a few hundred rows.
     valid = label_candidates(spark, pattern, nodes)
-    cand_df = (
-        valid
-        if universe is None
-        else universe.join(valid, ["pid", "vid"], "left_semi")
-    ).distinct().localCheckpoint(eager=True)
+    read = valid.withColumn("in_universe", F.lit(False))
+    if universe is not None:
+        read = read.unionByName(universe.select("pid", "vid", F.lit(True).alias("in_universe")))
+    pdf = read.toPandas()
 
-    alive: set[tuple[int, int]] = {
-        (int(r["pid"]), int(r["vid"])) for r in cand_df.collect()
-    }
-    eid_of = {i: e for i, e in enumerate(pattern.edges)}
+    def pairs(rows) -> set[tuple[int, int]]:
+        return set(zip(rows["pid"].tolist(), rows["vid"].tolist()))
+
+    in_universe = pdf["in_universe"]
+    alive = pairs(pdf[~in_universe])
+    if universe is not None:
+        alive &= pairs(pdf[in_universe])
+    cands: dict[int, set[int]] = defaultdict(set)
+    for pid, vid in alive:
+        cands[pid].add(vid)
+    if cands.keys() != pattern.nodes.keys():  # removals cannot refill a node
+        return _empty_matches(spark)
 
     if pattern.edges:
-        support = _support_rows(spark, pattern, slen, cand_df)
-        # witnesses[(pid,vid,eid)] = #alive witnesses for that edge;
-        # dependents[(pv,tvid)] = pairs relying on (pv,tvid) as a witness.
-        witness_count: dict[tuple[int, int, int], int] = defaultdict(int)
+        near = _slen_rows(pattern, slen, cands)
+        # witness_count[(pid, vid, eid)] = #alive witnesses on that edge;
+        # dependents[(pv, tvid)] = pairs relying on (pv, tvid) as a witness.
+        witness_count: dict[tuple[int, int, int], int] = {}
         dependents: dict[tuple[int, int], list[tuple[int, int, int]]] = defaultdict(list)
-        for r in support:
-            key = (int(r["pid"]), int(r["vid"]), int(r["eid"]))
-            witness_count[key] += 1
-            pv = eid_of[int(r["eid"])][1]
-            dependents[(pv, int(r["tvid"]))].append(key)
-
         dead: deque[tuple[int, int]] = deque()
-        for pid, vid in list(alive):
-            for i, e in enumerate(pattern.edges):
-                if e[0] == pid and witness_count[(pid, vid, i)] == 0:
-                    dead.append((pid, vid))
-                    break
+        for eid, (pu, pv, bound) in enumerate(pattern.edges):
+            targets = cands[pv]
+            for vid in cands[pu]:
+                key = (pu, vid, eid)
+                witnesses = [t for t, dist in near.get(vid, ()) if dist <= bound and t in targets]
+                witness_count[key] = len(witnesses)
+                for t in witnesses:
+                    dependents[(pv, t)].append(key)
+                if not witnesses:
+                    dead.append((pu, vid))
         while dead:
             pair = dead.popleft()
             if pair not in alive:

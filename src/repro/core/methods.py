@@ -85,34 +85,76 @@ class RunStats:
 # ---------------------------------------------------------------------------
 
 
+def _net_data_updates(updates: list[Update]):
+    """Fold a batch's data updates, in batch order, into net set operations.
+
+    Follows ``apply_updates_data`` step by step, so an edge deleted and
+    then re-inserted stays, and an edge inserted at a node the batch later
+    deletes goes. Returns:
+
+    * ``dropped``: ids whose node row in ``G_D`` goes (deleted, or replaced
+      by an inserted node of the same id);
+    * ``cut``: deleted ids, whose edges in ``G_D`` go;
+    * ``new_nodes``: ``{id: label}`` rows to add;
+    * ``del_edges``: edges of ``G_D`` to remove;
+    * ``ins_edges``: edges to add (disjoint from ``del_edges``).
+    """
+    dropped: set[int] = set()
+    cut: set[int] = set()
+    new_nodes: dict[int, str] = {}
+    del_edges: set[tuple[int, int]] = set()
+    ins_edges: set[tuple[int, int]] = set()
+    for u in updates:
+        if u.graph != "D":
+            continue
+        if u.kind == "edge_del":
+            ins_edges.discard((u.src, u.dst))
+            del_edges.add((u.src, u.dst))
+        elif u.kind == "node_del":
+            dropped.add(u.node)
+            cut.add(u.node)
+            new_nodes.pop(u.node, None)
+            ins_edges = {e for e in ins_edges if u.node not in e}
+        elif u.kind == "edge_ins":
+            ins_edges.add((u.src, u.dst))
+            del_edges.discard((u.src, u.dst))
+        elif u.kind == "node_ins":
+            dropped.add(u.node)
+            new_nodes[u.node] = u.label
+            ins_edges.update(u.attach_edges)
+            del_edges.difference_update(u.attach_edges)
+    return dropped, cut, new_nodes, del_edges, ins_edges
+
+
 def apply_data_updates_spark(
     spark: SparkSession, dg: DataGraph, updates: list[Update]
 ) -> DataGraph:
-    """``G_D_new`` via DataFrame set operations (union / anti-join)."""
-    d_updates = [u for u in updates if u.graph == "D"]
-    ins_nodes = [(u.node, u.label) for u in d_updates if u.kind == "node_ins"]
-    del_nodes = [(u.node,) for u in d_updates if u.kind == "node_del"]
-    ins_edges = [(u.src, u.dst) for u in d_updates if u.kind == "edge_ins"]
-    for u in d_updates:
-        if u.kind == "node_ins":
-            ins_edges += list(u.attach_edges)
-    del_edges = [(u.src, u.dst) for u in d_updates if u.kind == "edge_del"]
+    """``G_D_new`` via DataFrame set operations (union / anti-join).
+
+    The batch is applied in order, as ``apply_updates_data`` applies it:
+    the driver folds it into net deletions and insertions first.
+    """
+    dropped, cut, new_nodes, del_edges, ins_edges = _net_data_updates(updates)
+
+    def ids(xs: set[int]) -> DataFrame:
+        return local_frame(spark, [(x,) for x in sorted(xs)], ID_SCHEMA)
 
     nodes = dg.nodes
     edges = dg.edges
-    if ins_nodes:
-        nodes = nodes.unionByName(local_frame(spark, ins_nodes, NODES_SCHEMA))
-    if del_nodes:
-        dn = local_frame(spark, del_nodes, ID_SCHEMA)
-        nodes = nodes.join(dn, "id", "left_anti")
+    if dropped:
+        nodes = nodes.join(ids(dropped), "id", "left_anti")
+    if new_nodes:
+        nodes = nodes.unionByName(local_frame(spark, sorted(new_nodes.items()), NODES_SCHEMA))
+    if cut:
+        dn = ids(cut)
         edges = edges.join(dn.withColumnRenamed("id", "src"), "src", "left_anti").join(
             dn.withColumnRenamed("id", "dst"), "dst", "left_anti"
         )
-    if ins_edges:
-        edges = edges.unionByName(local_frame(spark, ins_edges, EDGES_SCHEMA)).distinct()
     if del_edges:
-        de = local_frame(spark, del_edges, EDGES_SCHEMA)
+        de = local_frame(spark, sorted(del_edges), EDGES_SCHEMA)
         edges = edges.join(de, ["src", "dst"], "left_anti")
+    if ins_edges:
+        edges = edges.unionByName(local_frame(spark, sorted(ins_edges), EDGES_SCHEMA)).distinct()
     return DataGraph(
         nodes=nodes.select("id", "label").localCheckpoint(eager=True),
         edges=edges.select("src", "dst").localCheckpoint(eager=True),
@@ -160,7 +202,7 @@ def _regional_universe(
     region: DataFrame,
 ) -> DataFrame:
     """Universe for a regional pass: previous matches ∪ label pairs in region."""
-    region_pairs = label_candidates(spark, gp, nodes.join(F.broadcast(region), "id"))
+    region_pairs = label_candidates(spark, gp, nodes.join(region, "id", "left_semi"))
     return prev_matches.unionByName(region_pairs).distinct()
 
 

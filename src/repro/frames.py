@@ -19,13 +19,24 @@ from pyspark.sql import types as T
 
 #: pandas dtype holding each Spark column type the program builds.
 _PANDAS_DTYPE = {T.LongType(): "int64", T.StringType(): "object"}
+#: A value of each type, for the filler row of an empty frame.
+_FILLER = {T.LongType(): 0, T.StringType(): ""}
 
 
 def local_frame(
     spark: SparkSession, rows: Iterable[tuple], schema: T.StructType
 ) -> DataFrame:
-    """``rows`` (tuples in ``schema``'s column order) as a DataFrame of ``schema``."""
-    pdf = pd.DataFrame(list(rows), columns=schema.names).astype(
+    """``rows`` (tuples in ``schema``'s column order) as a DataFrame of ``schema``.
+
+    PySpark sends an empty pandas frame down its row-by-row path, as a
+    Python RDD, so an empty frame is one filler row cut by ``limit(0)``.
+    """
+    rows = list(rows)
+    empty = not rows
+    if empty:
+        rows = [tuple(_FILLER[f.dataType] for f in schema.fields)]
+    pdf = pd.DataFrame(rows, columns=schema.names).astype(
         {f.name: _PANDAS_DTYPE[f.dataType] for f in schema.fields}
     )
-    return spark.createDataFrame(pdf, schema=schema)
+    df = spark.createDataFrame(pdf, schema=schema)
+    return df.limit(0) if empty else df

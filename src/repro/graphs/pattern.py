@@ -1,8 +1,9 @@
 """Pattern graph ``G_P`` (§III-A of the paper).
 
 Pattern graphs are tiny (6–10 nodes in the paper's experiments), so the
-canonical representation is driver-side Python; ``nodes_df``/``edges_df``
-project it into Spark DataFrames for join-based matching.
+canonical representation is driver-side Python, and matching reads it
+there (``core.matching``); ``nodes_df``/``edges_df`` project it into
+Spark DataFrames.
 
 Each edge carries a *bounded path length* ``f_e``: a positive integer
 ``k`` or the symbol ``*`` (no length constraint). ``*`` is stored as the

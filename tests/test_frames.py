@@ -49,6 +49,14 @@ def test_local_frame_equals_create_data_frame(arrow_only, case):
     assert sorted(got.collect()) == sorted(want.collect())
 
 
+@pytest.mark.parametrize("case", list(CASES))
+def test_local_frame_runs_no_python_worker(arrow_only, case):
+    """An action on the frame runs in the JVM alone, empty frames included."""
+    schema, rows = CASES[case]
+    lineage = local_frame(arrow_only, rows, schema)._jdf.queryExecution().toRdd().toDebugString()
+    assert "PythonRDD" not in lineage
+
+
 def _create_data_frame_callers() -> set[tuple[str, str]]:
     """(module path, innermost enclosing function) of every ``createDataFrame``."""
     found = set()

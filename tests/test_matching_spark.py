@@ -1,10 +1,13 @@
 """Spark BGS matching fixpoint vs the reference simulation + DuckDB oracle."""
+import itertools
+
 import pandas as pd
 import pytest
 from pyspark.sql import functions as F
 
 from repro.core.gpnm import gpnm_from_scratch
-from repro.core.matching import label_candidates, match_fixpoint, matches_to_dict
+from repro.core.matching import MATCH_SCHEMA, label_candidates, match_fixpoint, matches_to_dict
+from repro.frames import local_frame
 from repro.graphs.datagraph import DataGraph
 from repro.graphs.pattern import STAR, PatternGraph
 from repro.oracle import assert_equivalent
@@ -91,6 +94,35 @@ def test_universe_restricts_result(spark, inst):
     universe = spark.createDataFrame([(0, pm[0])], schema="pid long, vid long")
     got = matches_to_dict(match_fixpoint(spark, gp, slen, dg.nodes, universe))
     assert got == {0: {pm[0]}}
+
+
+_GROUPS = itertools.count()
+
+
+def _spark_jobs(spark, fn) -> int:
+    """Number of Spark jobs ``fn()`` starts, read from a job group of its own."""
+    sc = spark.sparkContext
+    group = f"test-spark-jobs-{next(_GROUPS)}"  # a group keeps its finished jobs
+    sc.setJobGroup(group, "count the jobs of one call")
+    try:
+        fn()
+    finally:
+        sc.setLocalProperty("spark.jobGroup.id", None)
+    sc._jsc.sc().listenerBus().waitUntilEmpty()  # job events arrive asynchronously
+    return len(sc.statusTracker().getJobIdsForGroup(group))
+
+
+@pytest.mark.parametrize("with_universe", [False, True], ids=["full", "local-universe"])
+def test_match_fixpoint_makes_two_spark_jobs(spark, inst, with_universe):
+    """One pass is two Arrow reads: the candidate pairs, and the SLen rows."""
+    labels, edges, dg, slen = inst
+    gp = tiny_pattern(1, sorted(set(labels.values())))
+    assert gp.edges
+    universe = None
+    if with_universe:
+        pairs = [(p, v) for p, lbl in gp.nodes.items() for v, l in labels.items() if l == lbl]
+        universe = local_frame(spark, pairs, MATCH_SCHEMA)
+    assert _spark_jobs(spark, lambda: match_fixpoint(spark, gp, slen, dg.nodes, universe)) == 2
 
 
 def test_universe_with_stale_pairs_is_clamped(spark, inst):

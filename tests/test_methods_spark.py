@@ -143,6 +143,32 @@ class TestApplyDataUpdatesSpark:
         assert got_labels == exp_labels
         assert sorted(got_edges) == sorted(exp_edges)
 
+    @pytest.mark.parametrize("batch", ["edge_del-then-edge_ins", "edge_ins-then-node_del"])
+    def test_batch_applied_in_order(self, spark, batch):
+        """The batch applies in order, as ``apply_updates_data`` applies it:
+        a deleted then re-inserted edge stays; an edge inserted at a node
+        the batch later deletes goes with it."""
+        labels, edges, dg, slen, gp, iq, _ = _mk_instance(spark, 0)
+        if batch == "edge_del-then-edge_ins":
+            a, b = edges[0]
+            updates = [
+                Update(graph="D", kind="edge_del", src=a, dst=b),
+                Update(graph="D", kind="edge_ins", src=a, dst=b),
+            ]
+        else:
+            x, y = next((x, y) for x in labels for y in labels if x != y and (x, y) not in edges)
+            updates = [
+                Update(graph="D", kind="edge_ins", src=x, dst=y),
+                Update(graph="D", kind="node_del", node=x),
+            ]
+        exp_labels, exp_edges = apply_updates_data(labels, edges, updates)
+        got_labels, got_edges = apply_data_updates_spark(spark, dg, updates).to_python()
+        assert got_labels == exp_labels
+        assert sorted(got_edges) == sorted(exp_edges)
+        res, _ = METHODS["UA-GPNM"](spark, dg, gp, slen, iq, updates)
+        got = matches_to_dict(res)
+        assert {p: got.get(p, set()) for p in gp.nodes} == ref_gpnm(gp, exp_labels, exp_edges)
+
     def test_ignores_pattern_updates(self, spark):
         labels, edges = tiny_graph(10, n=20, e=50)
         dg = DataGraph.from_edge_list(spark, labels, edges)
