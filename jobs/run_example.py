@@ -8,6 +8,7 @@ from repro.core.der import (
     affected_nodes_data_update,
     candidate_nodes_pattern_update,
     detect_cross_eliminations,
+    read_slices,
 )
 from repro.core.ehtree import build_ehtree, eliminated_uids, root_uids
 from repro.core.gpnm import gpnm_from_scratch
@@ -44,9 +45,9 @@ def main() -> None:
         aff_sets[ups[k].uid] = frozenset(s)
         print(f"  {k}: {sorted(names[v] for v in s)}")
 
-    cross = detect_cross_eliminations(
-        spark, [ups["U_P1"], ups["U_P2"]], [ups["U_D1"], ups["U_D2"]],
-        can_sets, aff_sets, ex["pattern"], slen, iq, dg)
+    updates_p, updates_d = [ups["U_P1"], ups["U_P2"]], [ups["U_D1"], ups["U_D2"]]
+    slices = read_slices(updates_p + updates_d, slen, ex["pattern"], iq, dg.nodes)
+    cross = detect_cross_eliminations(updates_p, updates_d, can_sets, aff_sets, slices)
     roots = build_ehtree(
         [(u, "D", aff_sets[u]) for u in aff_sets]
         + [(u, "P", can_sets[u]) for u in can_sets],

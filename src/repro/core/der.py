@@ -19,51 +19,277 @@ candidate iff **no** match of ``u'`` lies within ``k`` (existential
 witness — ``PM1`` survives via ``TE1`` although ``TE2`` is unreachable),
 and symmetrically for the target side.
 
-Set *computation* is Spark joins; set *comparison* happens driver-side on
-collected id sets (≤ |V_D| ids per update — the EH-Tree payload).
+Reads. ``read_slices`` fetches everything a batch needs in at most two
+Arrow reads (``toPandas``), whatever the batch size; every set then
+comes from driver-side set arithmetic over what was read:
+
+1. if the batch has pattern updates: the IQuery pairs, with the data
+   nodes of each label a pattern update relaxes;
+2. one ``slen.filter(<SQL IN lists>)`` of the |V|-sized slices
+   ``col(x) = {s: d(s,x)}`` and ``row(x) = {t: d(x,t)}`` of each node a
+   data update names, plus, for the inserted pattern edges
+   ``(u, u', k)``, the rows ``src ∈ M_u, dst ∈ M_u', dist ≤ k``.
+
+The rules over those slices (a missing row is ∞; every node has its
+``(x, x, 0)`` row; proofs in DESIGN.md §3):
+
+* edge_ins (a,b): ``{s ∈ col(a): d(s,a)+1 < d(s,b)} ∪
+  {t ∈ row(b): 1+d(b,t) < d(a,t)}`` — exactly the changed endpoints;
+* edge_del (a,b): ``{s: d(s,b) = d(s,a)+1} ∪ {t: d(a,t) = d(b,t)+1}`` —
+  endpoints of the pairs whose shortest path can route through (a,b), a
+  conservative superset (an equally short alternative may exist), which
+  only makes containment stricter, never unsound;
+* node_del x: ``col(x) ∪ row(x)``;
+* node_ins x: ``{x} ∪ col(a) for each (a,x) ∪ row(b) for each (x,b)``;
+* DER-III: under ``d'(s,t) = min(d(s,t), pre(s) + post(t))``, where
+  ``pre(s) + post(t)`` is ``d(s,a)+1+d(b,t)`` for an inserted edge and
+  ``d(s,a)+2+d(b,t)`` through an inserted node, so SLen_new is never built.
+
+The rules assume what they read: ``read_slices`` raises ``ValueError``
+for a data update that names a node absent from SLen, for a ``node_ins``
+attach edge that does not touch its node, and for a ``node_ins`` of a
+node SLen already has (the node_ins rule counts on every path through
+it being new).
+
+``affected_nodes_data_update`` and ``candidate_nodes_pattern_update``
+are the same computation for a batch of one, as a DataFrame.
+``slen_after_insertion`` is the per-update SLen step of INC-GPNM and
+EH-GPNM.
 """
 from __future__ import annotations
+
+from dataclasses import dataclass
+from math import inf
 
 from pyspark.sql import DataFrame, SparkSession
 from pyspark.sql import functions as F
 
+from repro.core.matching import id_list
 from repro.frames import local_frame
-from repro.graphs.datagraph import ID_SCHEMA, DataGraph
-from repro.graphs.pattern import PatternGraph
+from repro.graphs.datagraph import ID_SCHEMA
+from repro.graphs.pattern import STAR, PatternGraph
 from repro.graphs.updates import Update
-from repro.spark_graph.slen import (
-    SLEN_SCHEMA,
-    _walks_via_edge,
-    changed_pairs_edge_insert,
-    relax_edge_insert,
-)
+from repro.spark_graph.slen import SLEN_SCHEMA, relax_edge_insert
+
+
+@dataclass(frozen=True)
+class Slices:
+    """What DER reads for one batch: SLen slices and the IQuery.
+
+    ``col[x] = {s: d(s,x)}`` and ``row[x] = {t: d(x,t)}`` for each node a
+    data update names; ``near[s] = {t: d(s,t)}`` for the inserted pattern
+    edges' match pairs within their bound; ``matches[pid]`` the IQuery;
+    ``labeled[label]`` the data nodes of each label a pattern update needs.
+    """
+
+    col: dict[int, dict[int, int]]
+    row: dict[int, dict[int, int]]
+    near: dict[int, dict[int, int]]
+    matches: dict[int, set[int]]
+    labeled: dict[str, set[int]]
+
+
+def _bound(u: Update) -> int:
+    return STAR if u.bound is None else u.bound
+
+
+def _attach(u: Update) -> tuple[list[int], list[int]]:
+    """(tails of the edges into ``u.node``, heads of the edges out of it)."""
+    x = u.node
+    for e in u.attach_edges:
+        if x not in e:
+            raise ValueError(f"{u.uid}: attach edge {e} does not touch node {x}")
+    return (
+        [a for a, b in u.attach_edges if b == x and a != x],
+        [b for a, b in u.attach_edges if a == x and b != x],
+    )
+
+
+def _slice_nodes(u: Update) -> tuple[list[int], list[int]]:
+    """(nodes whose column, nodes whose row) data update ``u`` reads."""
+    if u.kind in ("edge_ins", "edge_del"):
+        return [u.src, u.dst], [u.src, u.dst]
+    if u.kind == "node_del":
+        return [u.node], [u.node]
+    if u.kind == "node_ins":
+        return _attach(u)
+    raise ValueError(f"unknown data update kind {u.kind}")
+
+
+def _relaxed_labels(u: Update, gp: PatternGraph) -> list[str]:
+    """Labels whose non-matching nodes pattern update ``u`` may add."""
+    if u.kind == "edge_del":
+        return [gp.nodes[u.src], gp.nodes[u.dst]]
+    if u.kind == "node_ins":
+        return [u.label]
+    if u.kind == "node_del":
+        return [gp.nodes[pu] for pu in gp.in_neighbors(u.node)]
+    return []
+
+
+def _read_pattern_side(
+    updates_p: list[Update], gp: PatternGraph, iquery: DataFrame, nodes: DataFrame
+) -> tuple[dict[int, set[int]], dict[str, set[int]]]:
+    """One read: the IQuery pairs, and the nodes of the labels ``updates_p`` relax."""
+    labels = sorted({lbl for u in updates_p for lbl in _relaxed_labels(u, gp)})
+    read = iquery.select("pid", "vid", F.lit(None).cast("string").alias("label"))
+    if labels:
+        read = read.unionByName(
+            nodes.filter(F.col("label").isin(*labels)).select(
+                F.lit(0).cast("long").alias("pid"), F.col("id").alias("vid"), "label"
+            )
+        )
+    pdf = read.toPandas()
+    matches: dict[int, set[int]] = {}
+    labeled: dict[str, set[int]] = {lbl: set() for lbl in labels}
+    for pid, vid, lbl in zip(pdf["pid"].tolist(), pdf["vid"].tolist(), pdf["label"].tolist()):
+        if lbl is None:
+            matches.setdefault(pid, set()).add(vid)
+        else:
+            labeled[lbl].add(vid)
+    return matches, labeled
+
+
+def read_slices(
+    updates: list[Update],
+    slen: DataFrame,
+    gp: PatternGraph | None = None,
+    iquery: DataFrame | None = None,
+    nodes: DataFrame | None = None,
+) -> Slices:
+    """Everything DER needs for ``updates``, in at most two Arrow reads.
+
+    ``gp``, ``iquery`` and ``nodes`` are needed only for pattern updates.
+    Raises ``ValueError`` if a data update names a node that has no
+    ``(x, x, 0)`` row in SLen, if a ``node_ins`` attach edge misses its
+    node, or if a ``node_ins`` inserts a node SLen already has.
+    """
+    updates_d = [u for u in updates if u.graph == "D"]
+    updates_p = [u for u in updates if u.graph == "P"]
+    new_nodes = {u.node for u in updates_d if u.kind == "node_ins"}
+    col_ids: set[int] = set()
+    row_ids: set[int] = set()
+    for u in updates_d:
+        cols, rows = _slice_nodes(u)
+        col_ids.update(cols)
+        row_ids.update(rows)
+
+    matches: dict[int, set[int]] = {}
+    labeled: dict[str, set[int]] = {}
+    if updates_p:
+        matches, labeled = _read_pattern_side(updates_p, gp, iquery, nodes)
+    new_edges_p = [u for u in updates_p if u.kind == "edge_ins"]
+    near_src = set().union(*(matches.get(u.src, ()) for u in new_edges_p))
+    near_dst = set().union(*(matches.get(u.dst, ()) for u in new_edges_p))
+    horizon = max((_bound(u) for u in new_edges_p), default=0)
+
+    clauses = []
+    if new_nodes:
+        clauses.append(f"(src IN ({id_list(new_nodes)}) AND dst = src)")
+    if col_ids:
+        clauses.append(f"dst IN ({id_list(col_ids)})")
+    if row_ids:
+        clauses.append(f"src IN ({id_list(row_ids)})")
+    if near_src and near_dst:
+        pairs = f"src IN ({id_list(near_src)}) AND dst IN ({id_list(near_dst)})"
+        if horizon != STAR:
+            pairs += f" AND dist <= {horizon}"
+        clauses.append(f"({pairs})")
+
+    col: dict[int, dict[int, int]] = {x: {} for x in col_ids}
+    row: dict[int, dict[int, int]] = {x: {} for x in row_ids}
+    near_rows: dict[int, dict[int, int]] = {}
+    present: set[int] = set()  # nodes whose (x, x, 0) row was read
+    if clauses:
+        pdf = slen.filter(" OR ".join(clauses)).select("src", "dst", "dist").toPandas()
+        for s, t, d in zip(pdf["src"].tolist(), pdf["dst"].tolist(), pdf["dist"].tolist()):
+            if s == t:
+                present.add(s)
+            if t in col:
+                col[t][s] = d
+            if s in row:
+                row[s][t] = d
+            if s in near_src and t in near_dst and d <= horizon:
+                near_rows.setdefault(s, {})[t] = d
+    missing = (col_ids | row_ids) - present
+    if missing:
+        raise ValueError(f"data updates name nodes missing from SLen: {sorted(missing)}")
+    if new_nodes & present:
+        raise ValueError(f"node_ins of nodes already in SLen: {sorted(new_nodes & present)}")
+    return Slices(col=col, row=row, near=near_rows, matches=matches, labeled=labeled)
+
+
+# ---------------------------------------------------------------------------
+# DER-II: affected nodes of data updates
+# ---------------------------------------------------------------------------
+
+
+def _affected(u: Update, s: Slices) -> frozenset[int]:
+    if u.kind == "edge_ins":
+        to_a, to_b, from_a, from_b = s.col[u.src], s.col[u.dst], s.row[u.src], s.row[u.dst]
+        return frozenset(
+            {x for x, d in to_a.items() if d + 1 < to_b.get(x, inf)}
+            | {t for t, d in from_b.items() if d + 1 < from_a.get(t, inf)}
+        )
+    if u.kind == "edge_del":
+        to_a, to_b, from_a, from_b = s.col[u.src], s.col[u.dst], s.row[u.src], s.row[u.dst]
+        return frozenset(
+            {x for x, d in to_a.items() if to_b.get(x) == d + 1}
+            | {t for t, d in from_b.items() if from_a.get(t) == d + 1}
+        )
+    if u.kind == "node_del":
+        return frozenset(s.col[u.node]) | frozenset(s.row[u.node])
+    if u.kind == "node_ins":
+        ins, outs = _attach(u)
+        out = {u.node}
+        for a in ins:
+            out.update(s.col[a])
+        for b in outs:
+            out.update(s.row[b])
+        return frozenset(out)
+    raise ValueError(f"unknown data update kind {u.kind}")
+
+
+def affected_sets(updates_d: list[Update], slices: Slices) -> dict[str, frozenset[int]]:
+    """``{uid: Aff_N(U_Di)}`` (Algorithm 2), each against the original graph."""
+    return {u.uid: _affected(u, slices) for u in updates_d}
+
 
 # ---------------------------------------------------------------------------
 # DER-I: candidate nodes of pattern updates
 # ---------------------------------------------------------------------------
 
 
-def _matches_of(iquery: DataFrame, pid: int) -> DataFrame:
-    return iquery.filter(F.col("pid") == pid).select("vid")
+def _unwitnessed(
+    m_u: set[int],
+    m_v: set[int],
+    k: int,
+    near: dict[int, dict[int, int]],
+    pre: dict[int, int] | None = None,
+    post: dict[int, int] | None = None,
+) -> set[int]:
+    """Matches of ``u`` with no match of ``u'`` within ``k``, and vice versa.
+
+    With ``pre``/``post``, a pair's distance is ``min(d(s,t), pre[s] + post[t])``:
+    the pair's distance once an insertion adds paths through it.
+    """
+    ok_src: set[int] = set()
+    ok_dst: set[int] = set()
+    for s in m_u:
+        for t, d in near.get(s, {}).items():
+            if d <= k and t in m_v:
+                ok_src.add(s)
+                ok_dst.add(t)
+    if pre is not None:
+        best_post = min((post[t] for t in m_v if t in post), default=inf)
+        best_pre = min((pre[s] for s in m_u if s in pre), default=inf)
+        ok_src |= {s for s in m_u if pre.get(s, inf) + best_post <= k}
+        ok_dst |= {t for t in m_v if best_pre + post.get(t, inf) <= k}
+    return (m_u - ok_src) | (m_v - ok_dst)
 
 
-def _nonmatches_with_label(
-    nodes: DataFrame, iquery: DataFrame, pid: int, label: str
-) -> DataFrame:
-    """Data nodes carrying ``label`` that do not currently match ``pid``."""
-    labeled = nodes.filter(F.col("label") == label).select(F.col("id").alias("vid"))
-    return labeled.join(_matches_of(iquery, pid), "vid", "left_anti")
-
-
-def candidate_nodes_pattern_update(
-    spark: SparkSession,
-    u: Update,
-    gp: PatternGraph,
-    slen: DataFrame,
-    iquery: DataFrame,
-    nodes: DataFrame,
-) -> DataFrame:
-    """``Can_N(U_Pi)`` as a single-column (id) DataFrame (Algorithm 1 step 2).
+def _candidates(u: Update, gp: PatternGraph, s: Slices) -> frozenset[int]:
+    """``Can_N(U_Pi)`` (Algorithm 1 step 2).
 
     * edge insert (u→u', k): ``Can_RN`` = matches of either endpoint left
       without a within-``k`` witness on the other side.
@@ -73,144 +299,91 @@ def candidate_nodes_pattern_update(
     * node delete: ``Can_RN`` = its matches, plus ``Can_AN`` = non-matching
       label nodes of its in-neighbors (their constraint disappears).
     """
+
+    def matches(pid: int) -> set[int]:
+        return s.matches.get(pid, set())
+
+    def nonmatches(pid: int) -> set[int]:
+        return s.labeled[gp.nodes[pid]] - matches(pid)
+
     if u.kind == "edge_ins":
-        pu, pv, k = u.src, u.dst, u.bound
-        m_u = _matches_of(iquery, pu)
-        m_v = _matches_of(iquery, pv)
-        within = (
-            slen.filter(F.col("dist") <= F.lit(k))
-            .join(m_u.withColumnRenamed("vid", "src"), "src")
-            .join(m_v.withColumnRenamed("vid", "dst"), "dst")
-        )
-        ok_src = within.select(F.col("src").alias("vid")).distinct()
-        ok_dst = within.select(F.col("dst").alias("vid")).distinct()
-        fail_src = m_u.join(ok_src, "vid", "left_anti")
-        fail_dst = m_v.join(ok_dst, "vid", "left_anti")
-        return fail_src.unionByName(fail_dst).distinct().select(F.col("vid").alias("id"))
-
+        return frozenset(_unwitnessed(matches(u.src), matches(u.dst), _bound(u), s.near))
     if u.kind == "edge_del":
-        pu, pv = u.src, u.dst
-        out = _nonmatches_with_label(nodes, iquery, pu, gp.nodes[pu]).unionByName(
-            _nonmatches_with_label(nodes, iquery, pv, gp.nodes[pv])
-        )
-        return out.distinct().select(F.col("vid").alias("id"))
-
+        return frozenset(nonmatches(u.src) | nonmatches(u.dst))
     if u.kind == "node_ins":
-        return nodes.filter(F.col("label") == u.label).select("id").distinct()
-
+        return frozenset(s.labeled[u.label])
     if u.kind == "node_del":
-        removed = _matches_of(iquery, u.node)
-        added = None
+        out = set(matches(u.node))
         for pu in gp.in_neighbors(u.node):
-            part = _nonmatches_with_label(nodes, iquery, pu, gp.nodes[pu])
-            added = part if added is None else added.unionByName(part)
-        out = removed if added is None else removed.unionByName(added)
-        return out.distinct().select(F.col("vid").alias("id"))
-
+            out |= nonmatches(pu)
+        return frozenset(out)
     raise ValueError(f"unknown pattern update kind {u.kind}")
 
 
+def candidate_sets(
+    updates_p: list[Update], gp: PatternGraph, slices: Slices
+) -> dict[str, frozenset[int]]:
+    """``{uid: Can_N(U_Pi)}``, each against the original ``G_P`` and IQuery."""
+    return {u.uid: _candidates(u, gp, slices) for u in updates_p}
+
+
 # ---------------------------------------------------------------------------
-# DER-II: affected nodes of data updates
+# DER-III: cross-graph eliminations
 # ---------------------------------------------------------------------------
 
 
-def _endpoints(pairs: DataFrame) -> DataFrame:
-    return (
-        pairs.select(F.col("src").alias("id"))
-        .unionByName(pairs.select(F.col("dst").alias("id")))
-        .distinct()
-    )
+def _nearest(dists: list[dict[int, int]], step: int) -> dict[int, int]:
+    """``{x: step + the least d over dists}``."""
+    out: dict[int, int] = {}
+    for dist in dists:
+        for x, d in dist.items():
+            out[x] = min(out.get(x, inf), d + step)
+    return out
 
 
-def _pairs_through_edge(slen: DataFrame, a: int, b: int) -> DataFrame:
-    """(src, dst) whose shortest path can route through edge (a,b)."""
-    return (
-        _walks_via_edge(slen, a, b)
-        .join(slen, ["src", "dst"])
-        .filter(F.col("dist") == F.col("via"))
-        .select("src", "dst")
-    )
+def residual_candidates(up: Update, ud: Update, slices: Slices) -> frozenset[int]:
+    """``Can_N`` of pattern edge insertion ``up`` under SLen with data
+    insertion ``ud`` applied: ``ud`` adds a path ``s ⇝ t`` of length
+    ``pre[s] + post[t]`` (``d(s,a)+1+d(b,t)``, or ``d(s,a)+2+d(b,t)``
+    through an inserted node)."""
+    if ud.kind == "edge_ins":
+        pre, post = _nearest([slices.col[ud.src]], 1), slices.row[ud.dst]
+    else:
+        ins, outs = _attach(ud)
+        pre = _nearest([slices.col[a] for a in ins], 1)
+        post = _nearest([slices.row[b] for b in outs], 1)
+    m_u = slices.matches.get(up.src, set())
+    m_v = slices.matches.get(up.dst, set())
+    return frozenset(_unwitnessed(m_u, m_v, _bound(up), slices.near, pre, post))
 
 
-def _pairs_through_node(slen: DataFrame, x: int) -> DataFrame:
-    """(src, dst) pairs whose shortest path can route through node ``x``."""
-    to_x = slen.filter((F.col("dst") == x) & (F.col("src") != x)).select(
-        F.col("src").alias("u"), F.col("dist").alias("d_ux")
-    )
-    from_x = slen.filter((F.col("src") == x) & (F.col("dst") != x)).select(
-        F.col("dst").alias("v"), F.col("dist").alias("d_xv")
-    )
-    cur = slen.select("src", "dst", F.col("dist").alias("d_cur"))
-    return (
-        to_x.crossJoin(from_x)
-        .join(cur, (cur.src == F.col("u")) & (cur.dst == F.col("v")))
-        .filter(F.col("d_cur") == F.col("d_ux") + F.col("d_xv"))
-        .select("src", "dst")
-    )
+def detect_cross_eliminations(
+    updates_p: list[Update],
+    updates_d: list[Update],
+    can_sets: dict[str, frozenset[int]],
+    aff_sets: dict[str, frozenset[int]],
+    slices: Slices,
+) -> list[tuple[str, str]]:
+    """DER-III: ``[(p_uid, d_uid)]`` mutually-eliminating cross pairs.
 
-
-def _with_self_row(spark: SparkSession, slen: DataFrame, x: int) -> DataFrame:
-    """SLen plus the ``(x, x, 0)`` diagonal row of a newly inserted node."""
-    return slen.unionByName(local_frame(spark, [(x, x, 0)], SLEN_SCHEMA))
-
-
-def slen_after_insertion(spark: SparkSession, slen: DataFrame, u: Update) -> DataFrame:
-    """SLen with a single *insertion* update applied (exact, join-only)."""
-    if u.kind == "edge_ins":
-        return relax_edge_insert(slen, u.src, u.dst)
-    if u.kind == "node_ins":
-        cur = _with_self_row(spark, slen, u.node)
-        for a, b in u.attach_edges:
-            # checkpoint between relaxes: chained crossJoin plans otherwise
-            # re-evaluate the whole prefix on every downstream action
-            cur = relax_edge_insert(cur, a, b).localCheckpoint(eager=True)
-        return cur
-    raise ValueError(f"{u.kind} is not an insertion")
-
-
-def affected_nodes_data_update(
-    spark: SparkSession, u: Update, slen: DataFrame
-) -> DataFrame:
-    """``Aff_N(U_Di)`` (Algorithm 2): endpoints of pairs whose SLen entry
-    changes when ``u`` alone is applied to the original graph.
-
-    Insertions are exact (min-plus relax comparison). Deletions use the
-    complete, conservative "can route through" superset — pairs with an
-    equally-short alternative path are included, which only makes
-    elimination containment stricter, never unsound.
+    Checks the paper's Step 3 precondition ``Aff ⊇ Can``, then
+    re-evaluates the pattern update's candidates with the data update's
+    new paths added; an empty re-evaluation means the GPNM result is
+    unchanged by the pair. Only an inserted pattern edge's candidates
+    depend on SLen, so only those can empty. Only insertion-kind data
+    updates are paired (a deletion never shortens a path, so it cannot
+    repair a tightening pattern update; cf. Example 9 which pairs two
+    insertions).
     """
-    if u.kind == "edge_ins":
-        return _endpoints(changed_pairs_edge_insert(slen, u.src, u.dst))
-    if u.kind == "edge_del":
-        return _endpoints(_pairs_through_edge(slen, u.src, u.dst))
-    if u.kind == "node_ins":
-        cur = _with_self_row(spark, slen, u.node)
-        out = local_frame(spark, [(u.node,)], ID_SCHEMA)
-        for a, b in u.attach_edges:
-            out = out.unionByName(_endpoints(changed_pairs_edge_insert(cur, a, b)))
-            cur = relax_edge_insert(cur, a, b).localCheckpoint(eager=True)
-        return out.distinct()
-    if u.kind == "node_del":
-        # pairs rerouted through x, plus every pair (·,x)/(x,·) that
-        # simply vanishes (finite → ∞ is a change, cf. Example 8)
-        through = _endpoints(_pairs_through_node(slen, u.node))
-        touching = (
-            slen.filter((F.col("src") == u.node) | (F.col("dst") == u.node))
-            .select(F.col("src").alias("id"))
-            .unionByName(
-                slen.filter(
-                    (F.col("src") == u.node) | (F.col("dst") == u.node)
-                ).select(F.col("dst").alias("id"))
-            )
-        )
-        return through.unionByName(touching).distinct()
-    raise ValueError(f"unknown data update kind {u.kind}")
-
-
-# ---------------------------------------------------------------------------
-# Elimination detection over collected sets
-# ---------------------------------------------------------------------------
+    return [
+        (up.uid, ud.uid)
+        for up in updates_p
+        if up.kind == "edge_ins" and can_sets[up.uid]
+        for ud in updates_d
+        if ud.is_insertion
+        and aff_sets[ud.uid] >= can_sets[up.uid]
+        and not residual_candidates(up, ud, slices)
+    ]
 
 
 def detect_single_graph_eliminations(
@@ -232,45 +405,49 @@ def detect_single_graph_eliminations(
     return out
 
 
-def detect_cross_eliminations(
+# ---------------------------------------------------------------------------
+# One update at a time (INC-GPNM, EH-GPNM's pattern passes)
+# ---------------------------------------------------------------------------
+
+
+def _id_frame(spark: SparkSession, ids: frozenset[int]) -> DataFrame:
+    return local_frame(spark, [(i,) for i in sorted(ids)], ID_SCHEMA)
+
+
+def affected_nodes_data_update(
+    spark: SparkSession, u: Update, slen: DataFrame
+) -> DataFrame:
+    """``Aff_N(U_Di)`` of one data update as a single-column (id) DataFrame."""
+    return _id_frame(spark, affected_sets([u], read_slices([u], slen))[u.uid])
+
+
+def candidate_nodes_pattern_update(
     spark: SparkSession,
-    updates_p: list[Update],
-    updates_d: list[Update],
-    can_sets: dict[str, frozenset[int]],
-    aff_sets: dict[str, frozenset[int]],
+    u: Update,
     gp: PatternGraph,
     slen: DataFrame,
     iquery: DataFrame,
-    dg: DataGraph,
-) -> list[tuple[str, str]]:
-    """DER-III: ``[(p_uid, d_uid)]`` mutually-eliminating cross pairs.
+    nodes: DataFrame,
+) -> DataFrame:
+    """``Can_N(U_Pi)`` of one pattern update as a single-column (id) DataFrame."""
+    slices = read_slices([u], slen, gp, iquery, nodes)
+    return _id_frame(spark, candidate_sets([u], gp, slices)[u.uid])
 
-    Checks the paper's Step 3 precondition ``Aff ⊇ Can`` driver-side,
-    then re-evaluates the pattern update's candidates under SLen with the
-    data update applied; an empty re-evaluation means the GPNM result is
-    unchanged by the pair. Only insertion-kind data updates are
-    re-evaluated (a deletion never shortens a path, so it cannot repair a
-    tightening pattern update; cf. Example 9 which pairs two insertions).
-    """
-    out = []
-    slen_new_cache: dict[str, DataFrame] = {}
-    for up in updates_p:
-        can = can_sets[up.uid]
-        if not can:
-            continue
-        for ud in updates_d:
-            if not ud.is_insertion:
-                continue
-            if not aff_sets[ud.uid] >= can:
-                continue
-            if ud.uid not in slen_new_cache:
-                # one SLen_new per data update, shared across all U_P pairs
-                slen_new_cache[ud.uid] = slen_after_insertion(
-                    spark, slen, ud
-                ).localCheckpoint(eager=True)
-            residual = candidate_nodes_pattern_update(
-                spark, up, gp, slen_new_cache[ud.uid], iquery, dg.nodes
-            )
-            if residual.isEmpty():
-                out.append((up.uid, ud.uid))
-    return out
+
+def _with_self_row(spark: SparkSession, slen: DataFrame, x: int) -> DataFrame:
+    """SLen plus the ``(x, x, 0)`` diagonal row of a newly inserted node."""
+    return slen.unionByName(local_frame(spark, [(x, x, 0)], SLEN_SCHEMA))
+
+
+def slen_after_insertion(spark: SparkSession, slen: DataFrame, u: Update) -> DataFrame:
+    """SLen with a single *insertion* update applied (exact, join-only)."""
+    if u.kind == "edge_ins":
+        return relax_edge_insert(slen, u.src, u.dst)
+    if u.kind == "node_ins":
+        cur = _with_self_row(spark, slen, u.node)
+        for a, b in u.attach_edges:
+            # checkpoint between relaxes: chained crossJoin plans otherwise
+            # re-evaluate the whole prefix on every downstream action
+            cur = relax_edge_insert(cur, a, b).localCheckpoint(eager=True)
+        return cur
+    raise ValueError(f"{u.kind} is not an insertion")

@@ -93,7 +93,7 @@ def _empty_matches(spark: SparkSession) -> DataFrame:
     return local_frame(spark, [], MATCH_SCHEMA)
 
 
-def _id_list(ids: set[int]) -> str:
+def id_list(ids: set[int]) -> str:
     """``ids`` as SQL integer literals. A filter string is parsed in one JVM
     call, where ``Column.isin`` makes one per id (~0.6 ms each)."""
     return ", ".join(map(str, sorted(ids)))
@@ -105,7 +105,7 @@ def _slen_rows(
     """``{src: [(dst, dist)]}`` for every SLen row a pattern edge can use."""
     srcs = set().union(*(cands[pu] for pu, _, _ in pattern.edges))
     dsts = set().union(*(cands[pv] for _, pv, _ in pattern.edges))
-    cond = f"src IN ({_id_list(srcs)}) AND dst IN ({_id_list(dsts)})"
+    cond = f"src IN ({id_list(srcs)}) AND dst IN ({id_list(dsts)})"
     bounds = {bound for _, _, bound in pattern.edges}
     if STAR not in bounds:
         cond += f" AND dist <= {max(bounds)}"

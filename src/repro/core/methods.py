@@ -39,12 +39,15 @@ from pyspark.sql import functions as F
 
 from repro.core.der import (
     affected_nodes_data_update,
+    affected_sets,
     candidate_nodes_pattern_update,
+    candidate_sets,
     detect_cross_eliminations,
+    read_slices,
     slen_after_insertion,
 )
 from repro.core.ehtree import build_ehtree, eliminated_uids, root_uids
-from repro.core.matching import label_candidates, match_fixpoint
+from repro.core.matching import id_list, label_candidates, match_fixpoint
 from repro.frames import local_frame
 from repro.graphs.datagraph import EDGES_SCHEMA, ID_SCHEMA, NODES_SCHEMA, DataGraph
 from repro.graphs.pattern import PatternGraph
@@ -199,15 +202,20 @@ def _regional_universe(
     gp: PatternGraph,
     nodes: DataFrame,
     prev_matches: DataFrame,
-    region: DataFrame,
+    region: set[int],
 ) -> DataFrame:
-    """Universe for a regional pass: previous matches ∪ label pairs in region."""
-    region_pairs = label_candidates(spark, gp, nodes.join(region, "id", "left_semi"))
-    return prev_matches.unionByName(region_pairs).distinct()
+    """Universe for a regional pass: previous matches ∪ label pairs in region.
+
+    Duplicates stay: ``match_fixpoint`` reads the universe into a set.
+    """
+    if not region:
+        return prev_matches
+    region_nodes = nodes.filter(f"id IN ({id_list(region)})")
+    return prev_matches.unionByName(label_candidates(spark, gp, region_nodes))
 
 
-def _detect_set(df: DataFrame) -> frozenset[int]:
-    return frozenset(int(r["id"]) for r in df.collect())
+def _collect_ids(df: DataFrame) -> set[int]:
+    return {int(r["id"]) for r in df.collect()}
 
 
 # ---------------------------------------------------------------------------
@@ -230,12 +238,13 @@ def inc_gpnm(
     for u in updates:
         with stats.phase("affected_area"):
             if u.graph == "D":
-                region = affected_nodes_data_update(spark, u, slen_cur)
+                region = _collect_ids(affected_nodes_data_update(spark, u, slen_cur))
             else:
-                region = candidate_nodes_pattern_update(
-                    spark, u, gp_cur, slen_cur, matches, dg_cur.nodes
+                region = _collect_ids(
+                    candidate_nodes_pattern_update(
+                        spark, u, gp_cur, slen_cur, matches, dg_cur.nodes
+                    )
                 )
-            region = region.localCheckpoint(eager=True)
         if u.graph == "D":
             with stats.phase("slen"):
                 slen_cur, dg_cur = _slen_step(spark, slen_cur, dg_cur, u)
@@ -271,10 +280,7 @@ def eh_gpnm(
     updates_p = [u for u in updates if u.graph == "P"]
 
     with stats.phase("detect"):
-        aff_sets = {
-            u.uid: _detect_set(affected_nodes_data_update(spark, u, slen))
-            for u in updates_d
-        }
+        aff_sets = affected_sets(updates_d, read_slices(updates_d, slen))
         roots = build_ehtree([(uid, "D", s) for uid, s in aff_sets.items()])
         d_roots = root_uids(roots)
         stats.n_eliminated = len(eliminated_uids(roots))
@@ -286,19 +292,20 @@ def eh_gpnm(
         stats.n_slen_passes += 1
         if u.uid in d_roots:
             with stats.phase("refine"):
-                region = local_frame(
-                    spark, [(i,) for i in sorted(aff_sets[u.uid])], ID_SCHEMA
+                universe = _regional_universe(
+                    spark, gp, dg_cur.nodes, matches, aff_sets[u.uid]
                 )
-                universe = _regional_universe(spark, gp, dg_cur.nodes, matches, region)
                 matches = match_fixpoint(spark, gp, slen_cur, dg_cur.nodes, universe)
             stats.n_refine_passes += 1
 
     gp_cur = gp
     for u in updates_p:
         with stats.phase("affected_area"):
-            region = candidate_nodes_pattern_update(
-                spark, u, gp_cur, slen_cur, matches, dg_cur.nodes
-            ).localCheckpoint(eager=True)
+            region = _collect_ids(
+                candidate_nodes_pattern_update(
+                    spark, u, gp_cur, slen_cur, matches, dg_cur.nodes
+                )
+            )
         gp_cur = apply_updates_pattern(gp_cur, [u])
         with stats.phase("refine"):
             universe = _regional_universe(spark, gp_cur, dg_cur.nodes, matches, region)
@@ -339,18 +346,11 @@ def ua_gpnm(
     updates_p = [u for u in updates if u.graph == "P"]
 
     with stats.phase("detect"):
-        aff_sets = {
-            u.uid: _detect_set(affected_nodes_data_update(spark, u, slen))
-            for u in updates_d
-        }
-        can_sets = {
-            u.uid: _detect_set(
-                candidate_nodes_pattern_update(spark, u, gp, slen, iquery, dg.nodes)
-            )
-            for u in updates_p
-        }
+        slices = read_slices(updates, slen, gp, iquery, dg.nodes)
+        aff_sets = affected_sets(updates_d, slices)
+        can_sets = candidate_sets(updates_p, gp, slices)
         cross = detect_cross_eliminations(
-            spark, updates_p, updates_d, can_sets, aff_sets, gp, slen, iquery, dg
+            updates_p, updates_d, can_sets, aff_sets, slices
         )
         entries = [(uid, "D", s) for uid, s in aff_sets.items()] + [
             (uid, "P", s) for uid, s in can_sets.items()
@@ -372,8 +372,9 @@ def ua_gpnm(
     all_sets = {**aff_sets, **can_sets}
     for uid in root_uids(roots):
         with stats.phase("refine"):
-            region = local_frame(spark, [(i,) for i in sorted(all_sets[uid])], ID_SCHEMA)
-            universe = _regional_universe(spark, gp_new, dg_new.nodes, matches, region)
+            universe = _regional_universe(
+                spark, gp_new, dg_new.nodes, matches, all_sets[uid]
+            )
             matches = match_fixpoint(spark, gp_new, slen_new, dg_new.nodes, universe)
         stats.n_refine_passes += 1
 

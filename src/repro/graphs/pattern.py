@@ -1,9 +1,8 @@
 """Pattern graph ``G_P`` (§III-A of the paper).
 
 Pattern graphs are tiny (6–10 nodes in the paper's experiments), so the
-canonical representation is driver-side Python, and matching reads it
-there (``core.matching``); ``nodes_df``/``edges_df`` project it into
-Spark DataFrames.
+representation is driver-side Python, and matching and DER read it there
+(``core.matching``, ``core.der``).
 
 Each edge carries a *bounded path length* ``f_e``: a positive integer
 ``k`` or the symbol ``*`` (no length constraint). ``*`` is stored as the
@@ -14,28 +13,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from pyspark.sql import DataFrame, SparkSession
-from pyspark.sql import types as T
-
-from repro.frames import local_frame
-
 #: Bound sentinel for the paper's "*" (any finite path length).
 STAR: int = 1 << 30
-
-PNODES_SCHEMA = T.StructType(
-    [
-        T.StructField("pid", T.LongType(), False),
-        T.StructField("plabel", T.StringType(), False),
-    ]
-)
-PEDGES_SCHEMA = T.StructType(
-    [
-        T.StructField("eid", T.LongType(), False),
-        T.StructField("pu", T.LongType(), False),
-        T.StructField("pv", T.LongType(), False),
-        T.StructField("bound", T.LongType(), False),
-    ]
-)
 
 
 @dataclass(frozen=True)
@@ -81,12 +60,6 @@ class PatternGraph:
         return PatternGraph(nodes=nodes, edges=edges)
 
     # -- views ------------------------------------------------------------
-    def nodes_df(self, spark: SparkSession) -> DataFrame:
-        return local_frame(spark, self.nodes.items(), PNODES_SCHEMA)
-
-    def edges_df(self, spark: SparkSession) -> DataFrame:
-        return local_frame(spark, [(i, *e) for i, e in enumerate(self.edges)], PEDGES_SCHEMA)
-
     def out_edges(self, pid: int) -> list[tuple[int, int, int]]:
         return [e for e in self.edges if e[0] == pid]
 

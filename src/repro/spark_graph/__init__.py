@@ -3,7 +3,6 @@ from repro.spark_graph.bfs import bfs_from_sources, apsp
 from repro.spark_graph.slen import (
     SLEN_SCHEMA,
     affected_sources_edge_delete,
-    changed_pairs_edge_insert,
     relax_edge_insert,
 )
 
@@ -12,6 +11,5 @@ __all__ = [
     "apsp",
     "SLEN_SCHEMA",
     "relax_edge_insert",
-    "changed_pairs_edge_insert",
     "affected_sources_edge_delete",
 ]

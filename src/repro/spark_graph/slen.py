@@ -7,8 +7,6 @@ GPNM methods compose:
 
 * ``relax_edge_insert`` — exact single-edge-insert update:
   ``d'(u,v) = min(d(u,v), d(u,a) + 1 + d(b,v))`` (one join, no BFS).
-* ``changed_pairs_edge_insert`` — the strictly-improved pairs (DER-II's
-  affected pairs for an insertion) without materializing SLen_new.
 * ``affected_sources_edge_delete`` — sources whose shortest-path tree may
   use edge (a,b): ``{u : d(u,b) = d(u,a)+1}``; deletion re-runs BFS from
   exactly these (the paper's "Dijkstra for the affected nodes").
@@ -59,26 +57,6 @@ def relax_edge_insert(slen: DataFrame, a: int, b: int) -> DataFrame:
         .groupBy("src", "dst")
         .agg(F.min("dist").alias("dist"))
     )
-
-
-def changed_pairs_edge_insert(slen: DataFrame, a: int, b: int) -> DataFrame:
-    """Pairs ``(src, dst, old_dist, new_dist)`` strictly improved by edge (a,b).
-
-    ``old_dist`` is null for pairs that become reachable for the first
-    time. This is DER-II's affected-pair set for an insertion, computed
-    without a BFS.
-    """
-    via = (
-        _walks_via_edge(slen, a, b)
-        .groupBy("src", "dst")
-        .agg(F.min("via").alias("new_dist"))
-    )
-    joined = via.join(
-        slen.withColumnRenamed("dist", "old_dist"), ["src", "dst"], "left"
-    )
-    return joined.filter(
-        F.col("old_dist").isNull() | (F.col("new_dist") < F.col("old_dist"))
-    ).select("src", "dst", "old_dist", "new_dist")
 
 
 def affected_sources_edge_delete(slen: DataFrame, a: int, b: int) -> DataFrame:

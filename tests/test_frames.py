@@ -8,7 +8,7 @@ import pytest
 from repro.core.matching import MATCH_SCHEMA
 from repro.frames import local_frame
 from repro.graphs.datagraph import EDGES_SCHEMA, ID_SCHEMA, NODES_SCHEMA
-from repro.graphs.pattern import PEDGES_SCHEMA, PNODES_SCHEMA, STAR
+from repro.graphs.pattern import STAR
 from repro.partition.label_partition import CLOSURE_SCHEMA
 from repro.spark_graph.slen import SLEN_SCHEMA
 
@@ -23,8 +23,6 @@ CASES = {
     "edges": (EDGES_SCHEMA, [(0, 1), (1, 2)]),
     "slen-star": (SLEN_SCHEMA, [(4, 4, 0), (0, 9, STAR)]),
     "closure": (CLOSURE_SCHEMA, [("A", "A"), ("A", "B"), ("B", "B")]),
-    "pattern-nodes": (PNODES_SCHEMA, [(0, "A"), (1, "B")]),
-    "pattern-edges": (PEDGES_SCHEMA, [(0, 0, 1, 2), (1, 1, 0, STAR)]),
 }
 
 

@@ -1,9 +1,12 @@
 """All four GPNM methods on randomized instances: exactness + cost accounting."""
+from contextlib import contextmanager
+
 import pytest
 
 from repro.core.matching import match_fixpoint, matches_to_dict
 from repro.core.methods import (
     METHODS,
+    RunStats,
     apply_data_updates_spark,
     eh_gpnm,
     inc_gpnm,
@@ -125,6 +128,35 @@ class TestCostAccounting:
         _, b = ua_gpnm(spark, dg, gp, slen, iq, updates, partitioned=True)
         assert (a.n_refine_passes, a.n_eliminated) == (b.n_refine_passes, b.n_eliminated)
 
+    @pytest.mark.parametrize("n_updates", [1, 16])
+    def test_ua_detect_makes_at_most_four_spark_jobs(self, spark, monkeypatch, n_updates):
+        """DER-I/II/III read what they need in a constant number of Spark jobs,
+        whatever the batch size: 16 is Table XI's mix, 12 data and 4 pattern."""
+        labels, edges, dg, slen, gp, iq, _ = _mk_instance(spark, 6)
+        vocab = sorted(set(labels.values()))
+        batch = generate_data_updates(labels, edges, m_g=3, n_g=3, seed=6) + (
+            generate_pattern_updates(gp, vocab, m_p=2, n_p=2, seed=6)
+        )
+        assert len(batch) == 16
+        sc = spark.sparkContext
+        group = f"ua-detect-{n_updates}"  # a group keeps its finished jobs
+        phase = RunStats.phase
+
+        @contextmanager
+        def grouped(self, name):
+            with phase(self, name):
+                if name == "detect":
+                    sc.setJobGroup(group, "UA-GPNM detect")
+                try:
+                    yield
+                finally:
+                    sc.setLocalProperty("spark.jobGroup.id", None)
+
+        monkeypatch.setattr(RunStats, "phase", grouped)
+        ua_gpnm(spark, dg, gp, slen, iq, batch[:n_updates])
+        sc._jsc.sc().listenerBus().waitUntilEmpty()  # job events arrive asynchronously
+        assert 1 <= len(sc.statusTracker().getJobIdsForGroup(group)) <= 4
+
     def test_phase_timings_recorded(self, spark):
         labels, edges, dg, slen, gp, iq, updates = _mk_instance(spark, 8)
         _, stats = ua_gpnm(spark, dg, gp, slen, iq, updates)
@@ -176,6 +208,37 @@ class TestApplyDataUpdatesSpark:
             spark, dg, [Update(graph="P", kind="node_del", node=0)]
         )
         assert dg_new.counts() == (len(labels), len(edges))
+
+
+class TestBatchValidation:
+    """The slice rules assume each node a data update names is in SLen, each
+    attach edge touches its inserted node, and an inserted node is new; a
+    batch breaking any of these is refused before any set is computed."""
+
+    @pytest.mark.parametrize(
+        "kind",
+        ["edge_ins", "edge_del", "node_del", "node_ins-attach", "node_ins-detached", "node_ins-existing"],
+    )
+    def test_ua_gpnm_rejects_the_batch(self, spark, kind):
+        labels, edges, dg, slen, gp, iq, _ = _mk_instance(spark, 0)
+        ghost, new = max(labels) + 100, max(labels) + 1
+        a = sorted(labels)[0]
+        u = {
+            "edge_ins": Update(graph="D", kind="edge_ins", src=ghost, dst=a),
+            "edge_del": Update(graph="D", kind="edge_del", src=a, dst=ghost),
+            "node_del": Update(graph="D", kind="node_del", node=ghost),
+            "node_ins-attach": Update(
+                graph="D", kind="node_ins", node=new, label="A", attach_edges=((new, ghost),)
+            ),
+            "node_ins-detached": Update(
+                graph="D", kind="node_ins", node=new, label="A", attach_edges=((a, a + 1),)
+            ),
+            "node_ins-existing": Update(
+                graph="D", kind="node_ins", node=a, label="A", attach_edges=((a, new - 1),)
+            ),
+        }[kind]
+        with pytest.raises(ValueError, match="missing from SLen|does not touch|already in SLen"):
+            ua_gpnm(spark, dg, gp, slen, iq, [u])
 
 
 class TestEliminationEffectiveness:

@@ -8,14 +8,19 @@ import pandas as pd
 import pytest
 from pyspark.sql import functions as F
 
-from repro.core.der import affected_nodes_data_update, candidate_nodes_pattern_update
+from repro.core.der import (
+    affected_nodes_data_update,
+    affected_sets,
+    candidate_nodes_pattern_update,
+    read_slices,
+)
 from repro.core.matching import match_fixpoint
 from repro.graphs.datagraph import DataGraph
 from repro.graphs.pattern import PatternGraph
 from repro.graphs.updates import Update
 from repro.oracle import assert_equivalent
 from repro.spark_graph.bfs import apsp
-from repro.spark_graph.slen import affected_sources_edge_delete, changed_pairs_edge_insert
+from repro.spark_graph.slen import affected_sources_edge_delete
 from tests.util import tiny_graph
 
 
@@ -81,24 +86,30 @@ def test_edge_ins_affected_nodes_match_sql(spark, inst):
 
 
 def test_changed_pairs_match_sql(spark, inst):
+    """DER-II of an insertion, batched, equals the endpoints of the pairs a
+    min-plus relax improves, by SQL over the whole of SLen."""
     labels, edges, dg, slen, gp, iq, pdf = inst
     eset = set(edges)
     ids = sorted(labels)
     a, b = next(
         (x, y) for x in reversed(ids) for y in ids if x != y and (x, y) not in eset
     )
-    spark_df = changed_pairs_edge_insert(slen, a, b).select("src", "dst", "new_dist")
+    u = Update(graph="D", kind="edge_ins", src=a, dst=b)
+    got = affected_sets([u], read_slices([u], slen))[u.uid]
+    ids_df = spark.createDataFrame([(i,) for i in sorted(got)], "id long")
     sql = f"""
       WITH via AS (
         SELECT ta.src AS src, fb.dst AS dst, MIN(ta.dist + 1 + fb.dist) AS new_dist
         FROM slen ta, slen fb
         WHERE ta.dst = {a} AND fb.src = {b}
-        GROUP BY ta.src, fb.dst)
-      SELECT v.src, v.dst, v.new_dist FROM via v LEFT JOIN slen s
-        ON s.src = v.src AND s.dst = v.dst
-      WHERE s.dist IS NULL OR v.new_dist < s.dist
+        GROUP BY ta.src, fb.dst),
+      changed AS (
+        SELECT v.src, v.dst FROM via v LEFT JOIN slen s
+          ON s.src = v.src AND s.dst = v.dst
+        WHERE s.dist IS NULL OR v.new_dist < s.dist)
+      SELECT src AS id FROM changed UNION SELECT dst AS id FROM changed
     """
-    assert_equivalent(spark_df, sql, slen=pdf["slen"])
+    assert_equivalent(ids_df, sql, slen=pdf["slen"])
 
 
 def test_affected_sources_edge_delete_match_sql(spark, inst):

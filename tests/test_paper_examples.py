@@ -7,6 +7,7 @@ from repro.core.der import (
     candidate_nodes_pattern_update,
     detect_cross_eliminations,
     detect_single_graph_eliminations,
+    read_slices,
 )
 from repro.core.ehtree import build_ehtree, eliminated_uids, root_uids
 from repro.core.gpnm import gpnm_from_scratch
@@ -112,6 +113,14 @@ class TestTables5And6:
             assert got[(nid[name], s1)] == d, name
 
 
+def _cross(ex, dg, slen, iq, can_sets, aff_sets):
+    """DER-III over the four updates of Fig. 2, from one batch's slices."""
+    ups = ex["updates"]
+    updates_p, updates_d = [ups["U_P1"], ups["U_P2"]], [ups["U_D1"], ups["U_D2"]]
+    slices = read_slices(updates_p + updates_d, slen, ex["pattern"], iq, dg.nodes)
+    return detect_cross_eliminations(updates_p, updates_d, can_sets, aff_sets, slices)
+
+
 class TestEliminations:
     def test_type1_up1_eliminates_up2(self, spark, fig1):
         """Example 7: Can_RN(U_P1) ⊇ Can_RN(U_P2) ⇒ U_P1 ⊒ U_P2."""
@@ -131,17 +140,7 @@ class TestEliminations:
         ups = ex["updates"]
         can_sets = {ups[k].uid: frozenset(ex["can_rn"][k]) for k in ("U_P1", "U_P2")}
         aff_sets = {ups[k].uid: frozenset(ex["aff_n"][k]) for k in ("U_D1", "U_D2")}
-        cross = detect_cross_eliminations(
-            spark,
-            [ups["U_P1"], ups["U_P2"]],
-            [ups["U_D1"], ups["U_D2"]],
-            can_sets,
-            aff_sets,
-            ex["pattern"],
-            slen,
-            iq,
-            dg,
-        )
+        cross = _cross(ex, dg, slen, iq, can_sets, aff_sets)
         assert (ups["U_P1"].uid, ups["U_D1"].uid) in cross
         # U_D2 does not cover Can(U_P1), so it cannot eliminate it
         assert (ups["U_P1"].uid, ups["U_D2"].uid) not in cross
@@ -153,10 +152,7 @@ class TestEliminations:
         ups = ex["updates"]
         can_sets = {ups[k].uid: frozenset(ex["can_rn"][k]) for k in ("U_P1", "U_P2")}
         aff_sets = {ups[k].uid: frozenset(ex["aff_n"][k]) for k in ("U_D1", "U_D2")}
-        cross = detect_cross_eliminations(
-            spark, [ups["U_P1"], ups["U_P2"]], [ups["U_D1"], ups["U_D2"]],
-            can_sets, aff_sets, ex["pattern"], slen, iq, dg,
-        )
+        cross = _cross(ex, dg, slen, iq, can_sets, aff_sets)
         entries = [(u, "D", aff_sets[u]) for u in aff_sets] + [
             (u, "P", can_sets[u]) for u in can_sets
         ]

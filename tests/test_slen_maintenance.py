@@ -2,16 +2,13 @@
 import pytest
 from pyspark.sql import functions as F
 
+from repro.core.der import affected_sets, read_slices
 from repro.graphs.datagraph import DataGraph
 from repro.graphs.updates import Update, apply_updates_data
 from repro.core.methods import _slen_step
 from repro.reference import ref_apsp
 from repro.spark_graph.bfs import apsp
-from repro.spark_graph.slen import (
-    affected_sources_edge_delete,
-    changed_pairs_edge_insert,
-    relax_edge_insert,
-)
+from repro.spark_graph.slen import affected_sources_edge_delete, relax_edge_insert
 from tests.util import tiny_graph
 
 SEEDS = [0, 1, 2]
@@ -51,23 +48,21 @@ class TestEdgeInsert:
 
     @pytest.mark.parametrize("seed", SEEDS)
     def test_changed_pairs_are_exact_diff(self, spark, inst, seed):
+        """DER-II of an insertion is the endpoints of the exactly improved pairs."""
         labels, edges, dg, slen = inst
         a, b = _nonedge(labels, edges, seed + 50)
         old = ref_apsp(sorted(labels), edges)
         new = ref_apsp(sorted(labels), edges + [(a, b)])
-        expected = {
-            k for k in new if old.get(k) is None or new[k] < old[k]
-        }
-        got = {
-            (r.src, r.dst) for r in changed_pairs_edge_insert(slen, a, b).collect()
-        }
-        assert got == expected
+        changed = {k for k in new if old.get(k) is None or new[k] < old[k]}
+        u = Update(graph="D", kind="edge_ins", src=a, dst=b)
+        assert affected_sets([u], read_slices([u], slen))[u.uid] == {x for k in changed for x in k}
 
     def test_insert_existing_shortcut_changes_nothing(self, spark, inst):
         labels, edges, dg, slen = inst
         # inserting an edge parallel to an existing one: no pair changes
         a, b = edges[0]
-        assert changed_pairs_edge_insert(slen, a, b).isEmpty()
+        u = Update(graph="D", kind="edge_ins", src=a, dst=b)
+        assert affected_sets([u], read_slices([u], slen))[u.uid] == set()
 
 
 class TestEdgeDelete:
