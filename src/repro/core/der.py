@@ -31,7 +31,8 @@ comes from driver-side set arithmetic over what was read:
    ``(u, u', k)``, the rows ``src ∈ M_u, dst ∈ M_u', dist ≤ k``.
 
 The rules over those slices (a missing row is ∞; every node has its
-``(x, x, 0)`` row; proofs in DESIGN.md §3):
+``(x, x, 0)`` row; proofs in DESIGN.md §3). Each ``Aff_N`` is a source
+half ``_sources`` united with a target half ``_targets``:
 
 * edge_ins (a,b): ``{s ∈ col(a): d(s,a)+1 < d(s,b)} ∪
   {t ∈ row(b): 1+d(b,t) < d(a,t)}`` — exactly the changed endpoints;
@@ -51,10 +52,12 @@ attach edge that does not touch its node, and for a ``node_ins`` of a
 node SLen already has (the node_ins rule counts on every path through
 it being new).
 
-``affected_nodes_data_update`` and ``candidate_nodes_pattern_update``
-are the same computation for a batch of one, as a DataFrame.
-``slen_after_insertion`` is the per-update SLen step of INC-GPNM and
-EH-GPNM.
+``source_sets`` gives the source halves alone: the sources whose SLen
+rows an update can change, which INC-GPNM's and EH-GPNM's per-update SLen
+step re-runs BFS from. ``affected_nodes_data_update`` and
+``candidate_nodes_pattern_update`` are the same computation for a batch
+of one, as a DataFrame. ``slen_after_insertion`` applies one edge
+insertion by ``relax_edge_insert`` (Tables V/VI).
 """
 from __future__ import annotations
 
@@ -69,7 +72,7 @@ from repro.frames import local_frame
 from repro.graphs.datagraph import ID_SCHEMA
 from repro.graphs.pattern import STAR, PatternGraph
 from repro.graphs.updates import Update
-from repro.spark_graph.slen import SLEN_SCHEMA, relax_edge_insert
+from repro.spark_graph.slen import relax_edge_insert
 
 
 @dataclass(frozen=True)
@@ -224,35 +227,51 @@ def read_slices(
 # ---------------------------------------------------------------------------
 
 
-def _affected(u: Update, s: Slices) -> frozenset[int]:
+def _sources(u: Update, s: Slices) -> set[int]:
+    """Sources ``s`` of the pairs ``(s, t)`` whose distance data update ``u`` can change."""
     if u.kind == "edge_ins":
-        to_a, to_b, from_a, from_b = s.col[u.src], s.col[u.dst], s.row[u.src], s.row[u.dst]
-        return frozenset(
-            {x for x, d in to_a.items() if d + 1 < to_b.get(x, inf)}
-            | {t for t, d in from_b.items() if d + 1 < from_a.get(t, inf)}
-        )
+        to_a, to_b = s.col[u.src], s.col[u.dst]
+        return {x for x, d in to_a.items() if d + 1 < to_b.get(x, inf)}
     if u.kind == "edge_del":
-        to_a, to_b, from_a, from_b = s.col[u.src], s.col[u.dst], s.row[u.src], s.row[u.dst]
-        return frozenset(
-            {x for x, d in to_a.items() if to_b.get(x) == d + 1}
-            | {t for t, d in from_b.items() if from_a.get(t) == d + 1}
-        )
+        to_a, to_b = s.col[u.src], s.col[u.dst]
+        return {x for x, d in to_a.items() if to_b.get(x) == d + 1}
     if u.kind == "node_del":
-        return frozenset(s.col[u.node]) | frozenset(s.row[u.node])
+        return set(s.col[u.node])
     if u.kind == "node_ins":
-        ins, outs = _attach(u)
         out = {u.node}
-        for a in ins:
+        for a in _attach(u)[0]:
             out.update(s.col[a])
-        for b in outs:
+        return out
+    raise ValueError(f"unknown data update kind {u.kind}")
+
+
+def _targets(u: Update, s: Slices) -> set[int]:
+    """Targets ``t`` of the pairs ``(s, t)`` whose distance data update ``u`` can change."""
+    if u.kind == "edge_ins":
+        from_a, from_b = s.row[u.src], s.row[u.dst]
+        return {t for t, d in from_b.items() if d + 1 < from_a.get(t, inf)}
+    if u.kind == "edge_del":
+        from_a, from_b = s.row[u.src], s.row[u.dst]
+        return {t for t, d in from_b.items() if from_a.get(t) == d + 1}
+    if u.kind == "node_del":
+        return set(s.row[u.node])
+    if u.kind == "node_ins":
+        out: set[int] = set()
+        for b in _attach(u)[1]:
             out.update(s.row[b])
-        return frozenset(out)
+        return out
     raise ValueError(f"unknown data update kind {u.kind}")
 
 
 def affected_sets(updates_d: list[Update], slices: Slices) -> dict[str, frozenset[int]]:
     """``{uid: Aff_N(U_Di)}`` (Algorithm 2), each against the original graph."""
-    return {u.uid: _affected(u, slices) for u in updates_d}
+    return {u.uid: frozenset(_sources(u, slices) | _targets(u, slices)) for u in updates_d}
+
+
+def source_sets(updates_d: list[Update], slices: Slices) -> dict[str, frozenset[int]]:
+    """``{uid: sources whose SLen row U_Di alone can change}``: the source half
+    of ``Aff_N``, which the per-update SLen step re-runs BFS from."""
+    return {u.uid: frozenset(_sources(u, slices)) for u in updates_d}
 
 
 # ---------------------------------------------------------------------------
@@ -386,25 +405,6 @@ def detect_cross_eliminations(
     ]
 
 
-def detect_single_graph_eliminations(
-    sets: dict[str, frozenset[int]]
-) -> list[tuple[str, str]]:
-    """Pairs ``(a, b)`` with ``set(a) ⊇ set(b)`` and ``a ≠ b`` (Types I/II).
-
-    On ties (equal sets) the lexicographically smaller uid eliminates the
-    larger so the relation stays antisymmetric.
-    """
-    out = []
-    uids = sorted(sets)
-    for a in uids:
-        for b in uids:
-            if a == b:
-                continue
-            if sets[a] >= sets[b] and not (sets[a] == sets[b] and a > b):
-                out.append((a, b))
-    return out
-
-
 # ---------------------------------------------------------------------------
 # One update at a time (INC-GPNM, EH-GPNM's pattern passes)
 # ---------------------------------------------------------------------------
@@ -434,20 +434,8 @@ def candidate_nodes_pattern_update(
     return _id_frame(spark, candidate_sets([u], gp, slices)[u.uid])
 
 
-def _with_self_row(spark: SparkSession, slen: DataFrame, x: int) -> DataFrame:
-    """SLen plus the ``(x, x, 0)`` diagonal row of a newly inserted node."""
-    return slen.unionByName(local_frame(spark, [(x, x, 0)], SLEN_SCHEMA))
-
-
 def slen_after_insertion(spark: SparkSession, slen: DataFrame, u: Update) -> DataFrame:
-    """SLen with a single *insertion* update applied (exact, join-only)."""
-    if u.kind == "edge_ins":
-        return relax_edge_insert(slen, u.src, u.dst)
-    if u.kind == "node_ins":
-        cur = _with_self_row(spark, slen, u.node)
-        for a, b in u.attach_edges:
-            # checkpoint between relaxes: chained crossJoin plans otherwise
-            # re-evaluate the whole prefix on every downstream action
-            cur = relax_edge_insert(cur, a, b).localCheckpoint(eager=True)
-        return cur
-    raise ValueError(f"{u.kind} is not an insertion")
+    """SLen with a single edge insertion applied (exact, join-only)."""
+    if u.kind != "edge_ins":
+        raise ValueError(f"{u.kind} is not an edge insertion")
+    return relax_edge_insert(slen, u.src, u.dst)

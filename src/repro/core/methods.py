@@ -20,7 +20,10 @@ in the tests) — they differ in how much work they do:
 
 Every SLen build runs the one BFS kernel of ``spark_graph.bfs``; only
 UA-GPNM groups it by label partition, the other methods run it over the
-whole graph as a single group.
+whole graph as a single group. INC-GPNM's and EH-GPNM's per-update SLen
+step (``_slen_step``) is one code path for all four data-update kinds: it
+keeps every row except those of the sources ``der.source_sets`` names
+and re-runs the kernel from those sources alone.
 
 Exactness: each method ends with a consolidation fixpoint over the full
 label-candidate universe of the updated graphs (identical cost across
@@ -35,7 +38,6 @@ from contextlib import contextmanager
 from dataclasses import dataclass, field
 
 from pyspark.sql import DataFrame, SparkSession
-from pyspark.sql import functions as F
 
 from repro.core.der import (
     affected_nodes_data_update,
@@ -44,7 +46,7 @@ from repro.core.der import (
     candidate_sets,
     detect_cross_eliminations,
     read_slices,
-    slen_after_insertion,
+    source_sets,
 )
 from repro.core.ehtree import build_ehtree, eliminated_uids, root_uids
 from repro.core.matching import id_list, label_candidates, match_fixpoint
@@ -54,7 +56,6 @@ from repro.graphs.pattern import PatternGraph
 from repro.graphs.updates import Update, apply_updates_pattern
 from repro.partition.partitioned_slen import partitioned_apsp
 from repro.spark_graph.bfs import apsp, bfs_from_sources
-from repro.spark_graph.slen import affected_sources_edge_delete
 
 
 @dataclass
@@ -169,31 +170,23 @@ def _slen_step(
 ) -> tuple[DataFrame, DataGraph]:
     """One per-update incremental SLen maintenance pass (INC/EH style).
 
-    Returns (SLen after ``u``, graph after ``u``); the result SLen is
-    eagerly checkpointed so the caller's timer sees the real cost.
+    The same step for all four kinds: rows of the sources ``source_sets``
+    names, and rows touching a deleted node, are dropped; BFS over the
+    updated graph gives the sources' new rows. Every other row keeps its
+    value (DESIGN.md §3). Returns (SLen after ``u``, graph after ``u``);
+    the result SLen is eagerly checkpointed so the caller's timer sees the
+    real cost.
     """
+    sources = source_sets([u], read_slices([u], slen))[u.uid]
     dg_new = apply_data_updates_spark(spark, dg_cur, [u])
-
-    def recompute(cur: DataFrame, sources: DataFrame) -> DataFrame:
-        kept = cur.join(sources.withColumnRenamed("id", "src"), ["src"], "left_anti")
-        return kept.unionByName(bfs_from_sources(dg_new.edges, sources))
-
-    if u.is_insertion:
-        out = slen_after_insertion(spark, slen, u)
-    elif u.kind == "edge_del":
-        sources = affected_sources_edge_delete(slen, u.src, u.dst)
-        out = recompute(slen, sources)
-    elif u.kind == "node_del":
-        x = u.node
-        sources = (
-            slen.filter((F.col("dst") == x) & (F.col("src") != x))
-            .select(F.col("src").alias("id"))
-            .distinct()
-        )
-        trimmed = slen.filter((F.col("src") != x) & (F.col("dst") != x))
-        out = recompute(trimmed, sources)
-    else:
-        raise ValueError(f"unknown data update kind {u.kind}")
+    if not sources:
+        return slen, dg_new
+    gone = {u.node} if u.kind == "node_del" else set()
+    drop = f"src IN ({id_list(sources)})"
+    if gone:
+        drop += f" OR dst IN ({id_list(gone)})"
+    fresh = local_frame(spark, [(x,) for x in sorted(sources - gone)], ID_SCHEMA)
+    out = slen.filter(f"NOT ({drop})").unionByName(bfs_from_sources(dg_new.edges, fresh))
     return out.localCheckpoint(eager=True), dg_new
 
 

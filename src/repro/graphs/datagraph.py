@@ -15,7 +15,6 @@ from dataclasses import dataclass
 
 import pandas as pd
 from pyspark.sql import DataFrame, SparkSession
-from pyspark.sql import functions as F
 from pyspark.sql import types as T
 
 NODES_SCHEMA = T.StructType(
@@ -87,14 +86,3 @@ class DataGraph:
         labels = {int(r["id"]): r["label"] for r in self.nodes.collect()}
         edges = [(int(r["src"]), int(r["dst"])) for r in self.edges.collect()]
         return labels, edges
-
-    def out_degrees(self) -> DataFrame:
-        """DataFrame (id, out_deg) including zero-degree nodes."""
-        deg = self.edges.groupBy(F.col("src").alias("id")).agg(
-            F.count("*").alias("out_deg")
-        )
-        return (
-            self.nodes.select("id")
-            .join(deg, "id", "left")
-            .fillna(0, subset=["out_deg"])
-        )

@@ -5,7 +5,8 @@ Each rule is written as DESIGN.md §3 states it, over a whole SLen dict
 ``core.der``'s read plan: ``col(x)``/``row(x)`` are scans of the dict,
 and DER-III evaluates ``d'(s,t)`` pair by pair. ``tests`` compare it with
 the definitions (``reference.ref_affected_nodes``, through-pair sets,
-SLen rebuilt by ``ref_apsp``) and with ``core.der``'s Spark reads.
+SLen rebuilt by ``ref_apsp``, the sources whose row changes) and with
+``core.der``'s Spark reads.
 """
 from __future__ import annotations
 
@@ -51,6 +52,23 @@ def mirror_affected(slen: Slen, u: Update) -> set[int]:
             out |= set(_col(slen, a))
         for b in outs:
             out |= set(_row(slen, b))
+        return out
+    raise ValueError(u.kind)
+
+
+def mirror_sources(slen: Slen, u: Update) -> set[int]:
+    """The sources whose SLen row ``u`` can change: the source half of ``Aff_N``."""
+    if u.kind in ("edge_ins", "edge_del"):
+        to_a, to_b = _col(slen, u.src), _col(slen, u.dst)
+        if u.kind == "edge_ins":
+            return {s for s in to_a if to_a[s] + 1 < to_b.get(s, INF)}
+        return {s for s in to_a if to_b.get(s) == to_a[s] + 1}
+    if u.kind == "node_del":
+        return set(_col(slen, u.node))
+    if u.kind == "node_ins":
+        out = {u.node}
+        for a in _ins_outs(u)[0]:
+            out |= set(_col(slen, a))
         return out
     raise ValueError(u.kind)
 

@@ -6,6 +6,9 @@
    ``ref_affected_nodes``; of a deletion, exactly the endpoints of the
    pairs whose shortest path can route through the deleted edge or node;
    DER-III equals re-evaluating ``Can_N`` on SLen rebuilt by ``ref_apsp``.
+   The source rule (``mirror_sources``) covers every source whose row
+   changes (exactly so for an edge insertion), and keeping the other rows
+   while re-running BFS from those sources rebuilds SLen exactly.
 2. ``core.der``'s batched sets, read from Spark, against the mirror on
    batches mixing all eight update kinds, Fig. 1's included, and on two
    batches whose DER-III outcome turns on the exact length of the
@@ -21,6 +24,7 @@ from repro.core.der import (
     detect_cross_eliminations,
     read_slices,
     residual_candidates,
+    source_sets,
 )
 from repro.core.matching import match_fixpoint, matches_to_dict
 from repro.graphs.datagraph import DataGraph
@@ -32,7 +36,13 @@ from repro.graphs.updates import (
     generate_pattern_updates,
 )
 from repro.reference import ref_affected_nodes, ref_apsp, ref_match
-from repro.reference_der import mirror_affected, mirror_candidates, mirror_detect, mirror_residual
+from repro.reference_der import (
+    mirror_affected,
+    mirror_candidates,
+    mirror_detect,
+    mirror_residual,
+    mirror_sources,
+)
 from repro.spark_graph.bfs import apsp
 from repro.synth_graph import fig1_example
 from tests.util import random_edges, tiny_graph, tiny_pattern
@@ -113,6 +123,31 @@ def test_mirror_equals_definitions(kind):
     assert residuals_checked > 0
 
 
+@pytest.mark.parametrize("kind", ["social", "sparse"])
+def test_mirror_sources_rebuild_slen(kind):
+    """Keep every row but those of ``mirror_sources`` and of a deleted node,
+    re-run BFS from the sources on the updated graph: that is SLen_new."""
+    kinds = Counter()
+    for seed in MIRROR_SEEDS:
+        labels, edges = _graph(kind, seed, 18)
+        old = ref_apsp(sorted(labels), edges)
+        for u in generate_data_updates(labels, edges, m_g=2, n_g=2, seed=seed):
+            new_labels, new_edges = apply_updates_data(labels, edges, [u])
+            new = ref_apsp(sorted(new_labels), new_edges)
+            sources = mirror_sources(old, u)
+            changed = {s for s, t in set(old) | set(new) if old.get((s, t)) != new.get((s, t))}
+            if u.kind == "edge_ins":
+                assert sources == changed, (seed, u)
+            else:
+                assert sources >= changed, (seed, u)
+            gone = {u.node} if u.kind == "node_del" else set()
+            kept = {k: d for k, d in old.items() if k[0] not in sources and not gone & set(k)}
+            fresh = ref_apsp(sorted(sources - gone), new_edges)
+            assert kept | fresh == new, (seed, u)
+            kinds[u.kind] += 1
+    assert len(kinds) == 4
+
+
 def _fig1_case():
     ex = fig1_example()
     ups = ex["updates"]
@@ -180,6 +215,7 @@ def test_spark_batch_equals_mirror(spark, case):
     matches = matches_to_dict(iq)
     want_aff, want_can, want_cross = mirror_detect(updates, gp, matches, labels, ref_slen)
     assert aff == want_aff
+    assert source_sets(updates_d, slices) == {u.uid: mirror_sources(ref_slen, u) for u in updates_d}
     assert can == want_can
     assert cross == want_cross
     # every DER-III residual, whether or not Aff ⊇ Can lets it count

@@ -4,7 +4,6 @@ import pytest
 from repro.core.der import (
     affected_nodes_data_update,
     candidate_nodes_pattern_update,
-    detect_single_graph_eliminations,
     slen_after_insertion,
 )
 from repro.core.matching import match_fixpoint, matches_to_dict
@@ -160,29 +159,3 @@ class TestSlenAfterInsertion:
                 spark, slen, Update(graph="D", kind="edge_del", src=0, dst=1)
             )
 
-
-class TestContainmentDetection:
-    def test_pairs(self):
-        sets = {"a": frozenset({1, 2, 3}), "b": frozenset({1, 2}), "c": frozenset({9})}
-        got = detect_single_graph_eliminations(sets)
-        assert ("a", "b") in got
-        assert ("b", "a") not in got
-        assert all("c" not in p for p in got)
-
-    def test_equal_sets_single_direction(self):
-        sets = {"a": frozenset({1}), "b": frozenset({1})}
-        got = detect_single_graph_eliminations(sets)
-        assert got == [("a", "b")]
-
-    def test_empty_set_eliminated_by_all(self):
-        sets = {"a": frozenset({1}), "b": frozenset()}
-        assert ("a", "b") in detect_single_graph_eliminations(sets)
-
-    def test_order_independence(self):
-        """Theorems 1–2: detection depends only on the sets, not on any
-        update ordering — permuting the dict changes nothing."""
-        sets1 = {"a": frozenset({1, 2}), "b": frozenset({1}), "c": frozenset({2})}
-        sets2 = dict(reversed(list(sets1.items())))
-        assert sorted(detect_single_graph_eliminations(sets1)) == sorted(
-            detect_single_graph_eliminations(sets2)
-        )

@@ -19,6 +19,11 @@ class TestBuildEHTree:
         assert root_uids(roots) == ["big"]
         assert eliminated_uids(roots) == {"small"}
 
+    def test_empty_set_is_child_of_any_set(self):
+        roots = build_ehtree([("a", "D", fs(1)), ("b", "D", fs())])
+        assert root_uids(roots) == ["a"]
+        assert eliminated_uids(roots) == {"b"}
+
     def test_largest_set_is_root_regardless_of_input_order(self):
         roots = build_ehtree([("small", "D", fs(1)), ("big", "D", fs(1, 2))])
         assert root_uids(roots) == ["big"]

@@ -13,6 +13,7 @@ from repro.core.der import (
     affected_sets,
     candidate_nodes_pattern_update,
     read_slices,
+    source_sets,
 )
 from repro.core.matching import match_fixpoint
 from repro.graphs.datagraph import DataGraph
@@ -20,7 +21,6 @@ from repro.graphs.pattern import PatternGraph
 from repro.graphs.updates import Update
 from repro.oracle import assert_equivalent
 from repro.spark_graph.bfs import apsp
-from repro.spark_graph.slen import affected_sources_edge_delete
 from tests.util import tiny_graph
 
 
@@ -115,7 +115,9 @@ def test_changed_pairs_match_sql(spark, inst):
 def test_affected_sources_edge_delete_match_sql(spark, inst):
     labels, edges, dg, slen, gp, iq, pdf = inst
     a, b = edges[4]
-    spark_df = affected_sources_edge_delete(slen, a, b)
+    u = Update(graph="D", kind="edge_del", src=a, dst=b)
+    ids = source_sets([u], read_slices([u], slen))[u.uid]
+    spark_df = spark.createDataFrame([(i,) for i in sorted(ids)], "id long")
     sql = f"""
       SELECT da.src AS id FROM slen da JOIN slen db ON da.src = db.src
       WHERE da.dst = {a} AND db.dst = {b} AND db.dist = da.dist + 1

@@ -6,7 +6,6 @@ from repro.core.der import (
     affected_nodes_data_update,
     candidate_nodes_pattern_update,
     detect_cross_eliminations,
-    detect_single_graph_eliminations,
     read_slices,
 )
 from repro.core.ehtree import build_ehtree, eliminated_uids, root_uids
@@ -123,16 +122,20 @@ def _cross(ex, dg, slen, iq, can_sets, aff_sets):
 
 class TestEliminations:
     def test_type1_up1_eliminates_up2(self, spark, fig1):
-        """Example 7: Can_RN(U_P1) ⊇ Can_RN(U_P2) ⇒ U_P1 ⊒ U_P2."""
+        """Example 7: Can_RN(U_P1) ⊇ Can_RN(U_P2) ⇒ U_P1 ⊒ U_P2, so U_P2
+        is U_P1's child in the EH-Tree."""
         ex, *_ = fig1
-        sets = {k: frozenset(v) for k, v in ex["can_rn"].items()}
-        assert ("U_P1", "U_P2") in detect_single_graph_eliminations(sets)
+        roots = build_ehtree([(k, "P", frozenset(v)) for k, v in ex["can_rn"].items()])
+        assert root_uids(roots) == ["U_P1"]
+        assert [c.uid for c in roots[0].children] == ["U_P2"]
 
     def test_type2_ud1_eliminates_ud2(self, spark, fig1):
-        """Example 8: Aff_N(U_D1) ⊇ Aff_N(U_D2) ⇒ U_D1 ⪰ U_D2."""
+        """Example 8: Aff_N(U_D1) ⊇ Aff_N(U_D2) ⇒ U_D1 ⪰ U_D2, so U_D2
+        is U_D1's child in the EH-Tree."""
         ex, *_ = fig1
-        sets = {k: frozenset(v) for k, v in ex["aff_n"].items()}
-        assert ("U_D1", "U_D2") in detect_single_graph_eliminations(sets)
+        roots = build_ehtree([(k, "D", frozenset(v)) for k, v in ex["aff_n"].items()])
+        assert root_uids(roots) == ["U_D1"]
+        assert [c.uid for c in roots[0].children] == ["U_D2"]
 
     def test_type3_example9(self, spark, fig1):
         """Example 9: U_P1 ⇔ U_D1 (AFF(PM2,TE2) = (∞,2) ≤ bound 2)."""

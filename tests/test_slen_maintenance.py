@@ -1,14 +1,13 @@
 """Incremental SLen maintenance vs from-scratch reference recomputation."""
 import pytest
-from pyspark.sql import functions as F
 
-from repro.core.der import affected_sets, read_slices
+from repro.core.der import affected_sets, read_slices, source_sets
 from repro.graphs.datagraph import DataGraph
-from repro.graphs.updates import Update, apply_updates_data
+from repro.graphs.updates import Update, apply_updates_data, generate_data_updates
 from repro.core.methods import _slen_step
 from repro.reference import ref_apsp
 from repro.spark_graph.bfs import apsp
-from repro.spark_graph.slen import affected_sources_edge_delete, relax_edge_insert
+from repro.spark_graph.slen import relax_edge_insert
 from tests.util import tiny_graph
 
 SEEDS = [0, 1, 2]
@@ -57,6 +56,13 @@ class TestEdgeInsert:
         u = Update(graph="D", kind="edge_ins", src=a, dst=b)
         assert affected_sets([u], read_slices([u], slen))[u.uid] == {x for k in changed for x in k}
 
+    @pytest.mark.parametrize("seed", SEEDS)
+    def test_insert_step_exact(self, spark, inst, seed):
+        labels, edges, dg, slen = inst
+        a, b = _nonedge(labels, edges, seed)
+        out, _ = _slen_step(spark, slen, dg, Update(graph="D", kind="edge_ins", src=a, dst=b))
+        assert _slen_dict(out) == ref_apsp(sorted(labels), edges + [(a, b)])
+
     def test_insert_existing_shortcut_changes_nothing(self, spark, inst):
         labels, edges, dg, slen = inst
         # inserting an edge parallel to an existing one: no pair changes
@@ -77,7 +83,8 @@ class TestEdgeDelete:
         truly_changed = {
             k[0] for k in set(old) | set(new) if old.get(k) != new.get(k)
         }
-        got = {r.id for r in affected_sources_edge_delete(slen, a, b).collect()}
+        u = Update(graph="D", kind="edge_del", src=a, dst=b)
+        got = source_sets([u], read_slices([u], slen))[u.uid]
         assert truly_changed <= got
 
     @pytest.mark.parametrize("idx", [0, 3, 5, 11])
@@ -115,3 +122,43 @@ class TestNodeUpdates:
         out, _ = _slen_step(spark, slen, dg, u)
         new_labels, new_edges = apply_updates_data(labels, edges, [u])
         assert _slen_dict(out) == ref_apsp(sorted(new_labels), new_edges)
+
+
+def test_chained_steps_over_all_four_kinds(spark, inst):
+    """Two updates of each kind, one ``_slen_step`` after another."""
+    labels, edges, dg, slen = inst
+    updates = generate_data_updates(labels, edges, m_g=2, n_g=2, seed=4)
+    assert {u.kind for u in updates} == {"edge_ins", "edge_del", "node_ins", "node_del"}
+    for u in updates:
+        slen, dg = _slen_step(spark, slen, dg, u)
+    new_labels, new_edges = apply_updates_data(labels, edges, updates)
+    assert _slen_dict(slen) == ref_apsp(sorted(new_labels), new_edges)
+
+
+@pytest.mark.parametrize(
+    "kind, jobs", [("edge_ins", 6), ("edge_del", 7), ("node_ins", 8), ("node_del", 10)]
+)
+def test_slen_step_spark_jobs(spark, inst, kind, jobs):
+    """Jobs of one step: the slice read, the graph update's checkpoints, and
+    the BFS with its checkpoint. Pinned, so an added Spark action shows."""
+    labels, edges, dg, slen = inst
+    ids = sorted(labels)
+    nid = max(ids) + 1
+    u = {
+        "edge_ins": Update(graph="D", kind="edge_ins", src=ids[0], dst=ids[20]),
+        "edge_del": Update(graph="D", kind="edge_del", src=edges[0][0], dst=edges[0][1]),
+        "node_ins": Update(
+            graph="D", kind="node_ins", node=nid, label="A",
+            attach_edges=((ids[0], nid), (nid, ids[3])),
+        ),
+        "node_del": Update(graph="D", kind="node_del", node=ids[2]),
+    }[kind]
+    sc = spark.sparkContext
+    group = f"slen-step-{kind}"  # a group keeps its finished jobs
+    sc.setJobGroup(group, "one _slen_step")
+    try:
+        _slen_step(spark, slen, dg, u)
+    finally:
+        sc.setLocalProperty("spark.jobGroup.id", None)
+    sc._jsc.sc().listenerBus().waitUntilEmpty()  # job events arrive asynchronously
+    assert len(sc.statusTracker().getJobIdsForGroup(group)) == jobs
