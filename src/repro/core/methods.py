@@ -133,32 +133,30 @@ def _net_data_updates(updates: list[Update]):
 def apply_data_updates_spark(
     spark: SparkSession, dg: DataGraph, updates: list[Update]
 ) -> DataGraph:
-    """``G_D_new`` via DataFrame set operations (union / anti-join).
+    """``G_D_new`` via literal filters and unions.
 
     The batch is applied in order, as ``apply_updates_data`` applies it:
-    the driver folds it into net deletions and insertions first.
+    the driver folds it into net deletions and insertions first, and every
+    id and edge they name goes into a SQL literal, so no join runs. A
+    batch with no data update returns ``dg`` itself.
     """
     dropped, cut, new_nodes, del_edges, ins_edges = _net_data_updates(updates)
-
-    def ids(xs: set[int]) -> DataFrame:
-        return local_frame(spark, [(x,) for x in sorted(xs)], ID_SCHEMA)
-
+    if not (dropped or del_edges or ins_edges):
+        return dg
     nodes = dg.nodes
     edges = dg.edges
     if dropped:
-        nodes = nodes.join(ids(dropped), "id", "left_anti")
+        nodes = nodes.filter(f"id NOT IN ({id_list(dropped)})")
     if new_nodes:
         nodes = nodes.unionByName(local_frame(spark, sorted(new_nodes.items()), NODES_SCHEMA))
     if cut:
-        dn = ids(cut)
-        edges = edges.join(dn.withColumnRenamed("id", "src"), "src", "left_anti").join(
-            dn.withColumnRenamed("id", "dst"), "dst", "left_anti"
-        )
-    if del_edges:
-        de = local_frame(spark, sorted(del_edges), EDGES_SCHEMA)
-        edges = edges.join(de, ["src", "dst"], "left_anti")
+        edges = edges.filter(f"NOT (src IN ({id_list(cut)}) OR dst IN ({id_list(cut)}))")
+    if del_edges or ins_edges:  # an inserted edge already there is dropped, then re-added
+        # ``L``: bigint literals, so each pair has the type of (src, dst)
+        pairs = ", ".join(f"({a}L, {b}L)" for a, b in sorted(del_edges | ins_edges))
+        edges = edges.filter(f"(src, dst) NOT IN ({pairs})")
     if ins_edges:
-        edges = edges.unionByName(local_frame(spark, sorted(ins_edges), EDGES_SCHEMA)).distinct()
+        edges = edges.unionByName(local_frame(spark, sorted(ins_edges), EDGES_SCHEMA))
     return DataGraph(
         nodes=nodes.select("id", "label").localCheckpoint(eager=True),
         edges=edges.select("src", "dst").localCheckpoint(eager=True),

@@ -101,7 +101,7 @@ def apply_updates_data(
     """Return updated (labels, edges) with all data updates applied in order.
 
     Python-side mirror used by generators, tests and the reference oracle;
-    the Spark-side application is a union/anti-join in ``core.methods``.
+    the Spark-side application is literal filters and unions in ``core.methods``.
     """
     labels = dict(node_labels)
     eset = list(edges)

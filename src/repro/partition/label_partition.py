@@ -12,9 +12,11 @@ Definitions 1–2:
   some ``v ∈ P_i``.
 
 The *reach closure* of a partition is the set of partitions transitively
-reachable through outer bridges (including itself). The paper's Alg. 4
-"recursively combine partitions" walks exactly this closure; we compute
-it once on the tiny partition quotient graph.
+reachable through outer bridges (including itself): the partitions the
+paper's Alg. 4 "recursively combines". The SLen build does not compute it:
+a BFS from a partition's sources walks exactly this closure
+(``partition.partitioned_slen``). ``reach_closure`` computes it on the tiny
+partition quotient graph for Example 14 and for the benchmark's tracer.
 """
 from __future__ import annotations
 

@@ -1,16 +1,20 @@
 """Unweighted multi-source BFS: the one shortest-path kernel.
 
-Every SLen build runs ``_bfs_group`` inside Python workers through
-``groupBy("gid").applyInPandas``. A *work frame* ``(gid, kind, a, b)``
-carries, per group ``gid``, its edge rows (``kind="E"``, edge ``a → b``)
-and its source rows (``kind="N"``, source ``a``); one task per group
-builds the group's adjacency and runs a queue BFS from each source.
-Callers differ only in how they group:
+Every SLen build goes through ``grouped_bfs``, which runs ``_bfs_group``
+inside Python workers through ``groupBy("gid").applyInPandas``. It builds
+a *work frame* ``(gid, kind, a, b)`` that carries, per group ``gid``, the
+whole edge list (``kind="E"``, edge ``a → b``) and the group's sources
+(``kind="N"``, source ``a``); one task per group builds the adjacency and
+runs a queue BFS from each source. Callers differ only in the group key:
 
-* ``apsp`` / ``bfs_from_sources`` put the whole graph in a single group;
+* ``apsp`` / ``bfs_from_sources`` put every source in a single group;
   INC-GPNM, EH-GPNM, UA-GPNM-NoPar and ``gpnm_from_scratch`` use them.
-* ``partition.partitioned_slen`` makes one group per label partition over
-  its reach-closure subgraph (UA-GPNM, §V).
+* ``partition.partitioned_slen`` makes one group per label partition
+  (UA-GPNM, §V).
+
+A BFS from a source only walks what the source reaches, so a partition's
+BFS walks exactly its reach closure: giving each group every edge is exact
+and needs no closure computed up front.
 
 The paper uses Dijkstra; on unit-weight social graphs BFS *is* Dijkstra.
 """
@@ -53,13 +57,35 @@ def _bfs_group(pdf: pd.DataFrame) -> pd.DataFrame:
     return pd.DataFrame({"src": out_src, "dst": out_dst, "dist": out_dist})
 
 
-def grouped_bfs(work: DataFrame) -> DataFrame:
-    """Shortest-path rows ``(src, dst, dist)`` from every source of ``work``.
+def grouped_bfs(edges: DataFrame, sources: DataFrame, key: str | None = None) -> DataFrame:
+    """Shortest-path rows ``(src, dst, dist)`` from every source, one task per group.
 
-    ``work`` is a ``(gid, kind, a, b)`` work frame (see module docstring);
-    each source's rows cover exactly the nodes reachable from it over its
-    group's edges, ``dist=0`` self row included.
+    ``edges``: (src, dst); ``sources``: (id) plus the group-key column
+    ``key``. With ``key=None`` every source is in one group, and the edges
+    are tagged with its literal gid (no join). Otherwise each distinct key
+    is crossed with the edges. Each source's rows cover exactly the nodes
+    reachable from it, ``dist=0`` self row included.
     """
+    if key is None:
+        gid = F.lit(0).alias("gid")
+        group_edges = edges.select(gid, "src", "dst")
+        group_sources = sources.select(gid, "id")
+    else:
+        group_sources = sources.select(F.col(key).alias("gid"), "id")
+        group_edges = group_sources.select("gid").distinct().crossJoin(edges)
+    work = group_edges.select(
+        "gid",
+        F.lit("E").alias("kind"),
+        F.col("src").alias("a"),
+        F.col("dst").alias("b"),
+    ).unionByName(
+        group_sources.select(
+            "gid",
+            F.lit("N").alias("kind"),
+            F.col("id").alias("a"),
+            F.lit(None).cast("long").alias("b"),
+        )
+    )
     return work.groupBy("gid").applyInPandas(_bfs_group, schema=SLEN_SCHEMA)
 
 
@@ -69,19 +95,7 @@ def bfs_from_sources(edges: DataFrame, sources: DataFrame) -> DataFrame:
     ``edges``: (src, dst); ``sources``: (id). Includes the ``dist=0``
     self rows — SLen's diagonal, needed by the relax/compose rules.
     """
-    edge_rows = edges.select(
-        F.lit(0).alias("gid"),
-        F.lit("E").alias("kind"),
-        F.col("src").alias("a"),
-        F.col("dst").alias("b"),
-    )
-    source_rows = sources.select(
-        F.lit(0).alias("gid"),
-        F.lit("N").alias("kind"),
-        F.col("id").alias("a"),
-        F.lit(None).cast("long").alias("b"),
-    )
-    return grouped_bfs(edge_rows.unionByName(source_rows))
+    return grouped_bfs(edges, sources)
 
 
 def apsp(nodes: DataFrame, edges: DataFrame) -> DataFrame:

@@ -1,6 +1,4 @@
 """Spark BGS matching fixpoint vs the reference simulation + DuckDB oracle."""
-import itertools
-
 import pandas as pd
 import pytest
 from pyspark.sql import functions as F
@@ -13,7 +11,7 @@ from repro.graphs.pattern import STAR, PatternGraph
 from repro.oracle import assert_equivalent
 from repro.reference import ref_apsp, ref_gpnm, ref_match
 from repro.spark_graph.bfs import apsp
-from tests.util import tiny_graph, tiny_pattern
+from tests.util import spark_jobs, tiny_graph, tiny_pattern
 
 SEEDS = [0, 1, 2, 3, 4]
 
@@ -96,22 +94,6 @@ def test_universe_restricts_result(spark, inst):
     assert got == {0: {pm[0]}}
 
 
-_GROUPS = itertools.count()
-
-
-def _spark_jobs(spark, fn) -> int:
-    """Number of Spark jobs ``fn()`` starts, read from a job group of its own."""
-    sc = spark.sparkContext
-    group = f"test-spark-jobs-{next(_GROUPS)}"  # a group keeps its finished jobs
-    sc.setJobGroup(group, "count the jobs of one call")
-    try:
-        fn()
-    finally:
-        sc.setLocalProperty("spark.jobGroup.id", None)
-    sc._jsc.sc().listenerBus().waitUntilEmpty()  # job events arrive asynchronously
-    return len(sc.statusTracker().getJobIdsForGroup(group))
-
-
 @pytest.mark.parametrize("with_universe", [False, True], ids=["full", "local-universe"])
 def test_match_fixpoint_makes_two_spark_jobs(spark, inst, with_universe):
     """One pass is two Arrow reads: the candidate pairs, and the SLen rows."""
@@ -122,7 +104,8 @@ def test_match_fixpoint_makes_two_spark_jobs(spark, inst, with_universe):
     if with_universe:
         pairs = [(p, v) for p, lbl in gp.nodes.items() for v, l in labels.items() if l == lbl]
         universe = local_frame(spark, pairs, MATCH_SCHEMA)
-    assert _spark_jobs(spark, lambda: match_fixpoint(spark, gp, slen, dg.nodes, universe)) == 2
+    _, jobs = spark_jobs(spark, lambda: match_fixpoint(spark, gp, slen, dg.nodes, universe))
+    assert jobs == 2
 
 
 def test_universe_with_stale_pairs_is_clamped(spark, inst):

@@ -23,7 +23,7 @@ from repro.graphs.updates import (
 )
 from repro.reference import ref_gpnm
 from repro.spark_graph.bfs import apsp
-from tests.util import tiny_graph
+from tests.util import spark_jobs, tiny_graph
 
 SEEDS = [0]
 
@@ -175,11 +175,14 @@ class TestApplyDataUpdatesSpark:
         assert got_labels == exp_labels
         assert sorted(got_edges) == sorted(exp_edges)
 
-    @pytest.mark.parametrize("batch", ["edge_del-then-edge_ins", "edge_ins-then-node_del"])
+    @pytest.mark.parametrize(
+        "batch", ["edge_del-then-edge_ins", "edge_ins-then-node_del", "no-data-update"]
+    )
     def test_batch_applied_in_order(self, spark, batch):
         """The batch applies in order, as ``apply_updates_data`` applies it:
         a deleted then re-inserted edge stays; an edge inserted at a node
-        the batch later deletes goes with it."""
+        the batch later deletes goes with it. A batch with no data update
+        leaves the graph as it is without running a Spark job."""
         labels, edges, dg, slen, gp, iq, _ = _mk_instance(spark, 0)
         if batch == "edge_del-then-edge_ins":
             a, b = edges[0]
@@ -187,14 +190,19 @@ class TestApplyDataUpdatesSpark:
                 Update(graph="D", kind="edge_del", src=a, dst=b),
                 Update(graph="D", kind="edge_ins", src=a, dst=b),
             ]
-        else:
+        elif batch == "edge_ins-then-node_del":
             x, y = next((x, y) for x in labels for y in labels if x != y and (x, y) not in edges)
             updates = [
                 Update(graph="D", kind="edge_ins", src=x, dst=y),
                 Update(graph="D", kind="node_del", node=x),
             ]
+        else:
+            updates = []
         exp_labels, exp_edges = apply_updates_data(labels, edges, updates)
-        got_labels, got_edges = apply_data_updates_spark(spark, dg, updates).to_python()
+        dg_new, jobs = spark_jobs(spark, lambda: apply_data_updates_spark(spark, dg, updates))
+        if not updates:
+            assert dg_new is dg and jobs == 0
+        got_labels, got_edges = dg_new.to_python()
         assert got_labels == exp_labels
         assert sorted(got_edges) == sorted(exp_edges)
         res, _ = METHODS["UA-GPNM"](spark, dg, gp, slen, iq, updates)

@@ -15,9 +15,48 @@ from repro.partition.partitioned_slen import (
 )
 from repro.reference import ref_apsp
 from repro.synth_graph import fig4_example
-from tests.util import tiny_graph
+from tests.util import spark_jobs, tiny_graph
 
 SEEDS = [0, 1, 2, 3]
+
+
+def _rings(sizes: dict[str, int]) -> tuple[dict[int, str], list[tuple[int, int]]]:
+    """One directed ring per label, ``sizes[label]`` nodes each, ids in order."""
+    labels: dict[int, str] = {}
+    edges: list[tuple[int, int]] = []
+    for lbl, k in sizes.items():
+        ids = list(range(len(labels), len(labels) + k))
+        labels.update(dict.fromkeys(ids, lbl))
+        edges += [(ids[i], ids[(i + 1) % k]) for i in range(k)] if k > 1 else []
+    return labels, edges
+
+
+def _one_way_bridges():
+    """A → B → C through one bridge edge each: A reaches every label, C only itself."""
+    labels, edges = _rings({"A": 3, "B": 3, "C": 3})
+    return labels, edges + [(2, 3), (5, 6)]
+
+
+def _sink_partition():
+    """A and B both lead into C, which has no outer bridge; D is isolated."""
+    labels, edges = _rings({"A": 3, "B": 2, "C": 3, "D": 1})
+    return labels, edges + [(0, 5), (3, 7), (1, 3)]
+
+
+#: Inputs whose partition quotient graph is not one SCC, so some partition's
+#: reach closure misses a label.
+NON_SCC = {
+    "sparse-0": lambda: tiny_graph(0, n=40, e=43, n_labels=5),
+    "sparse-1": lambda: tiny_graph(1, n=40, e=43, n_labels=5),
+    "one-way-bridges": _one_way_bridges,
+    "sink-partition": _sink_partition,
+}
+
+
+def _closure_misses_a_label(dg) -> bool:
+    """Some partition's reach closure is not every label."""
+    n_labels = dg.nodes.select("label").distinct().count()
+    return len(reach_closure(dg.nodes, dg.edges).collect()) < n_labels**2
 
 
 @pytest.fixture(scope="module")
@@ -115,25 +154,31 @@ class TestPartitionedAPSP:
                 if (a, b) not in ex["table8"] and (a, b) not in ex["table9"]:
                     assert (a, b) not in got
 
-    @pytest.mark.parametrize("seed", SEEDS)
+    @pytest.mark.parametrize("seed", SEEDS + list(NON_SCC))
     def test_equals_reference_apsp(self, spark, seed):
-        """Theorem 3: the partitioned computation is exact."""
-        labels, edges = tiny_graph(seed, n=40, e=120, n_labels=5)
+        """Theorem 3: the partitioned computation is exact, also where a
+        partition's reach closure is not every label."""
+        if seed in NON_SCC:
+            labels, edges = NON_SCC[seed]()
+        else:
+            labels, edges = tiny_graph(seed, n=40, e=120, n_labels=5)
         dg = DataGraph.from_edge_list(spark, labels, edges)
+        assert seed in SEEDS or _closure_misses_a_label(dg)
         got = {(r.src, r.dst): r.dist for r in partitioned_apsp(dg.nodes, dg.edges).collect()}
         assert got == ref_apsp(sorted(labels), edges)
 
     def test_partitioned_bfs_subset_sources(self, spark):
-        labels, edges = tiny_graph(7, n=30, e=90)
-        dg = DataGraph.from_edge_list(spark, labels, edges)
-        srcs = sorted(labels)[::6]
-        sources = spark.createDataFrame([(s,) for s in srcs], schema="id long")
-        got = {
-            (r.src, r.dst): r.dist
-            for r in partitioned_bfs_from_sources(dg.nodes, dg.edges, sources).collect()
-        }
-        full = ref_apsp(sorted(labels), edges)
-        assert got == {(s, d): v for (s, d), v in full.items() if s in srcs}
+        inputs = [(tiny_graph(7, n=30, e=90), 6)] + [(make(), 3) for make in NON_SCC.values()]
+        for (labels, edges), step in inputs:
+            dg = DataGraph.from_edge_list(spark, labels, edges)
+            srcs = sorted(labels)[::step]
+            sources = spark.createDataFrame([(s,) for s in srcs], schema="id long")
+            got = {
+                (r.src, r.dst): r.dist
+                for r in partitioned_bfs_from_sources(dg.nodes, dg.edges, sources).collect()
+            }
+            full = ref_apsp(sorted(labels), edges)
+            assert got == {(s, d): v for (s, d), v in full.items() if s in srcs}
 
     def test_isolated_partition_distances_stay_internal(self, spark):
         """OB(P_i)=∅ ⇒ no finite distance leaves the partition (Alg. 5 line 3)."""
@@ -142,3 +187,15 @@ class TestPartitionedAPSP:
         dg = DataGraph.from_edge_list(spark, labels, edges)
         got = {(r.src, r.dst) for r in partitioned_apsp(dg.nodes, dg.edges).collect()}
         assert (0, 2) not in got and (1, 2) not in got
+
+
+def test_partitioned_apsp_spark_jobs(spark):
+    """``partitioned_apsp`` plus its checkpoint: one job group, pinned, so a
+    Spark action added before the BFS (a ``collect``, say) shows."""
+    labels, edges = tiny_graph(0, n=40, e=120, n_labels=5)
+    dg = DataGraph.from_edge_list(spark, labels, edges).cache()
+    dg.counts()
+    _, jobs = spark_jobs(
+        spark, lambda: partitioned_apsp(dg.nodes, dg.edges).localCheckpoint(eager=True)
+    )
+    assert jobs == 3

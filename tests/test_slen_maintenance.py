@@ -136,7 +136,7 @@ def test_chained_steps_over_all_four_kinds(spark, inst):
 
 
 @pytest.mark.parametrize(
-    "kind, jobs", [("edge_ins", 6), ("edge_del", 7), ("node_ins", 8), ("node_del", 10)]
+    "kind, jobs", [("edge_ins", 5), ("edge_del", 5), ("node_ins", 5), ("node_del", 5)]
 )
 def test_slen_step_spark_jobs(spark, inst, kind, jobs):
     """Jobs of one step: the slice read, the graph update's checkpoints, and

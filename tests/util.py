@@ -1,6 +1,8 @@
 """Shared test helpers: tiny random instances and python-side oracles."""
 from __future__ import annotations
 
+import itertools
+
 import numpy as np
 
 from repro.graphs.pattern import PatternGraph
@@ -27,3 +29,20 @@ def random_edges(seed: int, n: int, e: int) -> list[tuple[int, int]]:
         if s != d:
             out.add((int(s), int(d)))
     return sorted(out)
+
+
+_GROUPS = itertools.count()
+
+
+def spark_jobs(spark, fn) -> tuple[object, int]:
+    """``fn()`` and the number of Spark jobs it starts, read from a job group
+    of its own (a group keeps its finished jobs)."""
+    sc = spark.sparkContext
+    group = f"test-spark-jobs-{next(_GROUPS)}"
+    sc.setJobGroup(group, "count the jobs of one call")
+    try:
+        out = fn()
+    finally:
+        sc.setLocalProperty("spark.jobGroup.id", None)
+    sc._jsc.sc().listenerBus().waitUntilEmpty()  # job events arrive asynchronously
+    return out, len(sc.statusTracker().getJobIdsForGroup(group))
