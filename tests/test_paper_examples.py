@@ -181,7 +181,10 @@ class TestSQueryAllMethods:
         res, stats = METHODS[method](spark, dg, ex["pattern"], slen, iq, updates)
         got = matches_to_dict(res)
         assert {p: got.get(p, set()) for p in gp_new.nodes} == expected
-        assert stats.n_refine_passes >= 1
+        if method.startswith("UA-GPNM"):
+            assert stats.n_roots >= 1
+        else:
+            assert stats.n_refine_passes >= 1
 
     def test_ua_gpnm_eliminates_three_of_four(self, spark, fig1):
         """With Fig. 3's tree, UA-GPNM processes exactly one root update."""
@@ -190,7 +193,7 @@ class TestSQueryAllMethods:
         updates = [ups["U_P1"], ups["U_P2"], ups["U_D1"], ups["U_D2"]]
         _, stats = METHODS["UA-GPNM"](spark, dg, ex["pattern"], slen, iq, updates)
         assert stats.n_eliminated == 3
-        assert stats.n_refine_passes == 1
+        assert stats.n_roots == 1
         assert stats.n_slen_passes == 1
 
 

@@ -60,7 +60,8 @@ class TestEdgeInsert:
     def test_insert_step_exact(self, spark, inst, seed):
         labels, edges, dg, slen = inst
         a, b = _nonedge(labels, edges, seed)
-        out, _ = _slen_step(spark, slen, dg, Update(graph="D", kind="edge_ins", src=a, dst=b))
+        u = Update(graph="D", kind="edge_ins", src=a, dst=b)
+        out, _ = _slen_step(spark, slen, dg, u, read_slices([u], slen))
         assert _slen_dict(out) == ref_apsp(sorted(labels), edges + [(a, b)])
 
     def test_insert_existing_shortcut_changes_nothing(self, spark, inst):
@@ -92,7 +93,7 @@ class TestEdgeDelete:
         labels, edges, dg, slen = inst
         a, b = edges[idx]
         u = Update(graph="D", kind="edge_del", src=a, dst=b)
-        out, dg_new = _slen_step(spark, slen, dg, u)
+        out, dg_new = _slen_step(spark, slen, dg, u, read_slices([u], slen))
         new_edges = [e for e in edges if e != (a, b)]
         assert _slen_dict(out) == ref_apsp(sorted(labels), new_edges)
 
@@ -110,7 +111,7 @@ class TestNodeUpdates:
             label="A",
             attach_edges=((anchor, nid), (nid, sorted(labels)[seed + 3])),
         )
-        out, _ = _slen_step(spark, slen, dg, u)
+        out, _ = _slen_step(spark, slen, dg, u, read_slices([u], slen))
         new_labels, new_edges = apply_updates_data(labels, edges, [u])
         assert _slen_dict(out) == ref_apsp(sorted(new_labels), new_edges)
 
@@ -119,7 +120,7 @@ class TestNodeUpdates:
         labels, edges, dg, slen = inst
         x = sorted(labels)[seed * 7 + 2]
         u = Update(graph="D", kind="node_del", node=x)
-        out, _ = _slen_step(spark, slen, dg, u)
+        out, _ = _slen_step(spark, slen, dg, u, read_slices([u], slen))
         new_labels, new_edges = apply_updates_data(labels, edges, [u])
         assert _slen_dict(out) == ref_apsp(sorted(new_labels), new_edges)
 
@@ -130,7 +131,7 @@ def test_chained_steps_over_all_four_kinds(spark, inst):
     updates = generate_data_updates(labels, edges, m_g=2, n_g=2, seed=4)
     assert {u.kind for u in updates} == {"edge_ins", "edge_del", "node_ins", "node_del"}
     for u in updates:
-        slen, dg = _slen_step(spark, slen, dg, u)
+        slen, dg = _slen_step(spark, slen, dg, u, read_slices([u], slen))
     new_labels, new_edges = apply_updates_data(labels, edges, updates)
     assert _slen_dict(slen) == ref_apsp(sorted(new_labels), new_edges)
 
@@ -139,8 +140,9 @@ def test_chained_steps_over_all_four_kinds(spark, inst):
     "kind, jobs", [("edge_ins", 5), ("edge_del", 5), ("node_ins", 5), ("node_del", 5)]
 )
 def test_slen_step_spark_jobs(spark, inst, kind, jobs):
-    """Jobs of one step: the slice read, the graph update's checkpoints, and
-    the BFS with its checkpoint. Pinned, so an added Spark action shows."""
+    """Jobs of one step with its slice read: the read, the graph update's
+    checkpoints, and the BFS with its checkpoint. Pinned, so an added Spark
+    action shows."""
     labels, edges, dg, slen = inst
     ids = sorted(labels)
     nid = max(ids) + 1
@@ -157,7 +159,7 @@ def test_slen_step_spark_jobs(spark, inst, kind, jobs):
     group = f"slen-step-{kind}"  # a group keeps its finished jobs
     sc.setJobGroup(group, "one _slen_step")
     try:
-        _slen_step(spark, slen, dg, u)
+        _slen_step(spark, slen, dg, u, read_slices([u], slen))
     finally:
         sc.setLocalProperty("spark.jobGroup.id", None)
     sc._jsc.sc().listenerBus().waitUntilEmpty()  # job events arrive asynchronously
