@@ -36,6 +36,7 @@ def test_table11(benchmark, spark, dataset, method):
     benchmark.extra_info.update(
         {
             "slen_passes": stats.n_slen_passes,
+            "stale_sources": stats.n_stale_sources,
             "refine_passes": stats.n_refine_passes,
             "eliminated": stats.n_eliminated,
             "roots": stats.n_roots,

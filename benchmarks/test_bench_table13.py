@@ -35,6 +35,7 @@ def test_table13(benchmark, spark, scale, method):
     benchmark.extra_info.update(
         {
             "slen_passes": stats.n_slen_passes,
+            "stale_sources": stats.n_stale_sources,
             "refine_passes": stats.n_refine_passes,
             "eliminated": stats.n_eliminated,
             "roots": stats.n_roots,

@@ -60,8 +60,9 @@ def main() -> None:
     for name, fn in METHODS.items():
         res, stats = fn(spark, dg, ex["pattern"], slen, iq, updates)
         print(f"{name:14s} SQuery={ {p: sorted(v) for p, v in sorted(matches_to_dict(res).items())} } "
-              f"passes(slen={stats.n_slen_passes}, refine={stats.n_refine_passes}, "
-              f"roots={stats.n_roots}, eliminated={stats.n_eliminated})")
+              f"passes(slen={stats.n_slen_passes}, stale={stats.n_stale_sources}, "
+              f"refine={stats.n_refine_passes}, roots={stats.n_roots}, "
+              f"eliminated={stats.n_eliminated})")
     spark.stop()
 
 

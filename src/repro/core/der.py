@@ -27,8 +27,8 @@ comes from driver-side set arithmetic over what was read:
    nodes of each label a pattern update relaxes;
 2. one ``slen.filter(<SQL IN lists>)`` of the |V|-sized slices
    ``col(x) = {s: d(s,x)}`` and ``row(x) = {t: d(x,t)}`` of each node a
-   data update names, plus, for the inserted pattern edges
-   ``(u, u', k)``, the rows ``src ∈ M_u, dst ∈ M_u', dist ≤ k``.
+   data update names, with every ``(x, x, 0)`` row, plus, for the inserted
+   pattern edges ``(u, u', k)``, the rows ``src ∈ M_u, dst ∈ M_u', dist ≤ k``.
 
 The rules over those slices (a missing row is ∞; every node has its
 ``(x, x, 0)`` row; proofs in DESIGN.md §3). Each ``Aff_N`` is a source
@@ -53,8 +53,8 @@ node SLen already has (the node_ins rule counts on every path through
 it being new).
 
 ``source_sets`` gives the source halves alone: the sources whose SLen
-rows an update can change, which INC-GPNM's and EH-GPNM's per-update SLen
-step re-runs BFS from. ``affected_nodes_data_update`` and
+rows an update can change, which the SLen step (per update, or their union
+per batch) re-runs BFS from. ``affected_nodes_data_update`` and
 ``candidate_nodes_pattern_update`` are the same computation for a batch
 of one, as a DataFrame. ``slen_after_insertion`` applies one edge
 insertion by ``relax_edge_insert`` (Tables V/VI).
@@ -67,8 +67,7 @@ from math import inf
 from pyspark.sql import DataFrame, SparkSession
 from pyspark.sql import functions as F
 
-from repro.core.matching import id_list
-from repro.frames import local_frame
+from repro.frames import id_list, local_frame
 from repro.graphs.datagraph import ID_SCHEMA
 from repro.graphs.pattern import STAR, PatternGraph
 from repro.graphs.updates import Update
@@ -80,11 +79,13 @@ class Slices:
     """What DER reads for one batch: SLen slices and the IQuery.
 
     ``col[x] = {s: d(s,x)}`` and ``row[x] = {t: d(x,t)}`` for each node a
-    data update names; ``near[s] = {t: d(s,t)}`` for the inserted pattern
-    edges' match pairs within their bound; ``matches[pid]`` the IQuery;
-    ``labeled[label]`` the data nodes of each label a pattern update needs.
+    data update names, and ``nodes`` all of SLen's; ``near[s] = {t: d(s,t)}``
+    for the inserted pattern edges' match pairs within their bound;
+    ``matches[pid]`` the IQuery; ``labeled[label]`` the data nodes of each
+    label a pattern update needs.
     """
 
+    nodes: set[int]
     col: dict[int, dict[int, int]]
     row: dict[int, dict[int, int]]
     near: dict[int, dict[int, int]]
@@ -187,8 +188,8 @@ def read_slices(
     horizon = max((_bound(u) for u in new_edges_p), default=0)
 
     clauses = []
-    if new_nodes:
-        clauses.append(f"(src IN ({id_list(new_nodes)}) AND dst = src)")
+    if updates_d:
+        clauses.append("src = dst")
     if col_ids:
         clauses.append(f"dst IN ({id_list(col_ids)})")
     if row_ids:
@@ -219,7 +220,7 @@ def read_slices(
         raise ValueError(f"data updates name nodes missing from SLen: {sorted(missing)}")
     if new_nodes & present:
         raise ValueError(f"node_ins of nodes already in SLen: {sorted(new_nodes & present)}")
-    return Slices(col=col, row=row, near=near_rows, matches=matches, labeled=labeled)
+    return Slices(nodes=present, col=col, row=row, near=near_rows, matches=matches, labeled=labeled)
 
 
 # ---------------------------------------------------------------------------
@@ -270,7 +271,7 @@ def affected_sets(updates_d: list[Update], slices: Slices) -> dict[str, frozense
 
 def source_sets(updates_d: list[Update], slices: Slices) -> dict[str, frozenset[int]]:
     """``{uid: sources whose SLen row U_Di alone can change}``: the source half
-    of ``Aff_N``, which the per-update SLen step re-runs BFS from."""
+    of ``Aff_N``, which the SLen step re-runs BFS from."""
     return {u.uid: frozenset(_sources(u, slices)) for u in updates_d}
 
 

@@ -13,16 +13,15 @@ in the tests) — they differ in how much work they do:
   regional passes only for *uneliminated* data updates, but still one
   pass per pattern update, and per-update SLen maintenance.
 * **UA-GPNM-NoPar**: DER-I+II+III over all updates, full EH-Tree (cross
-  relationships included), ONE batched SLen rebuild, ONE matching pass.
-* **UA-GPNM**: identical, but the batch rebuild groups its BFS sources by
+  relationships included), ONE batched SLen step, ONE matching pass.
+* **UA-GPNM**: identical, but the batched step groups its BFS sources by
   the label partition of §V.
 
-Every SLen build runs the one BFS kernel of ``spark_graph.bfs``; only
-UA-GPNM groups it by label partition, the other methods run it over the
-whole graph as a single group. INC-GPNM's and EH-GPNM's per-update SLen
-step (``_slen_step``) is one code path for all four data-update kinds: it
-keeps every row except those of the sources ``der.source_sets`` names
-and re-runs the kernel from those sources alone.
+Every SLen build runs the one BFS kernel of ``spark_graph.bfs``, by label
+partition for UA-GPNM, as one group otherwise. Every method maintains SLen
+with one step (``_slen_step``): it keeps every row except those of the
+stale sources ``der.source_sets`` names and re-runs the kernel from those
+alone, per data update (INC-GPNM, EH-GPNM) or once per batch (UA-GPNM).
 
 Answers: UA-GPNM's SQuery is one full-universe ``match_fixpoint`` on the
 updated graphs, which is BGS on them and exact by construction; its EH-Tree
@@ -33,6 +32,7 @@ as a regional universe can miss a gained match (DESIGN.md §3).
 from __future__ import annotations
 
 import time
+from collections.abc import Callable
 from contextlib import contextmanager
 from dataclasses import dataclass, field
 
@@ -40,22 +40,22 @@ from pyspark.sql import DataFrame, SparkSession
 
 from repro.core.der import (
     Slices,
-    affected_nodes_data_update,  # not called here; perfbench/tracing.py wraps it under this name
+    affected_nodes_data_update,  # these two are not called here; perfbench/tracing.py
     affected_sets,
-    candidate_nodes_pattern_update,
+    candidate_nodes_pattern_update,  # wraps them under these names
     candidate_sets,
     detect_cross_eliminations,
     read_slices,
     source_sets,
 )
 from repro.core.ehtree import build_ehtree, eliminated_uids, root_uids
-from repro.core.matching import id_list, label_candidates, match_fixpoint
-from repro.frames import local_frame
-from repro.graphs.datagraph import EDGES_SCHEMA, ID_SCHEMA, NODES_SCHEMA, DataGraph
+from repro.core.matching import label_candidates, match_fixpoint
+from repro.frames import id_list, local_frame
+from repro.graphs.datagraph import EDGES_SCHEMA, NODES_SCHEMA, DataGraph
 from repro.graphs.pattern import PatternGraph
 from repro.graphs.updates import Update, apply_updates_pattern
 from repro.partition.partitioned_slen import partitioned_apsp
-from repro.spark_graph.bfs import apsp, bfs_from_sources
+from repro.spark_graph.bfs import apsp
 
 
 @dataclass
@@ -65,6 +65,7 @@ class RunStats:
     method: str
     n_updates: int = 0
     n_slen_passes: int = 0
+    n_stale_sources: int = 0  # sources the SLen steps re-ran BFS from
     n_refine_passes: int = 0
     n_eliminated: int = 0
     n_roots: int = 0  # EH-Tree roots; for UA-GPNM, the regional passes Alg. 6 would run
@@ -165,28 +166,23 @@ def apply_data_updates_spark(
 
 
 def _slen_step(
-    spark: SparkSession, slen: DataFrame, dg_cur: DataGraph, u: Update, slices: Slices
-) -> tuple[DataFrame, DataGraph]:
-    """One per-update incremental SLen maintenance pass (INC/EH style).
-
-    The same step for all four kinds: rows of the sources ``source_sets``
-    names, and rows touching a deleted node, are dropped; BFS over the
-    updated graph gives the sources' new rows. Every other row keeps its
-    value (DESIGN.md §3). ``slices`` is ``read_slices([u], slen)``. Returns
-    (SLen after ``u``, graph after ``u``); the result SLen is eagerly
-    checkpointed so the caller's timer sees the real cost.
-    """
-    sources = source_sets([u], slices)[u.uid]
-    dg_new = apply_data_updates_spark(spark, dg_cur, [u])
-    if not sources:
-        return slen, dg_new
-    gone = {u.node} if u.kind == "node_del" else set()
-    drop = f"src IN ({id_list(sources)})"
-    if gone:
-        drop += f" OR dst IN ({id_list(gone)})"
-    fresh = local_frame(spark, [(x,) for x in sorted(sources - gone)], ID_SCHEMA)
-    out = slen.filter(f"NOT ({drop})").unionByName(bfs_from_sources(dg_new.edges, fresh))
-    return out.localCheckpoint(eager=True), dg_new
+    spark: SparkSession,
+    slen: DataFrame,
+    dg: DataGraph,
+    updates: list[Update],
+    slices: Slices,
+    build: Callable[..., DataFrame],
+) -> tuple[DataFrame, DataGraph, frozenset[int]]:
+    """(SLen, graph, stale sources) after data ``updates`` of any kinds and number:
+    ``build`` re-runs BFS from the union of their ``source_sets`` read on ``slen``
+    (DESIGN.md §3); a new SLen is checkpointed so the caller's timer sees it."""
+    stale = frozenset().union(*source_sets(updates, slices).values())
+    dg_new = apply_data_updates_spark(spark, dg, updates)
+    all_stale = stale and stale >= slices.nodes  # no row stays: build anew, no scan of slen
+    slen_new = build(dg_new.nodes, dg_new.edges, None if all_stale else slen, stale)
+    if stale:
+        slen_new = slen_new.localCheckpoint(eager=True)
+    return slen_new, dg_new, stale
 
 
 def _regional_universe(
@@ -204,10 +200,6 @@ def _regional_universe(
         return prev_matches
     region_nodes = nodes.filter(f"id IN ({id_list(region)})")
     return prev_matches.unionByName(label_candidates(spark, gp, region_nodes))
-
-
-def _collect_ids(df: DataFrame) -> set[int]:
-    return {int(r["id"]) for r in df.collect()}
 
 
 # ---------------------------------------------------------------------------
@@ -233,15 +225,13 @@ def inc_gpnm(
                 slices = read_slices([u], slen_cur)
                 region = affected_sets([u], slices)[u.uid]
             else:
-                region = _collect_ids(
-                    candidate_nodes_pattern_update(
-                        spark, u, gp_cur, slen_cur, matches, dg_cur.nodes
-                    )
-                )
+                slices = read_slices([u], slen_cur, gp_cur, matches, dg_cur.nodes)
+                region = candidate_sets([u], gp_cur, slices)[u.uid]
         if u.graph == "D":
             with stats.phase("slen"):
-                slen_cur, dg_cur = _slen_step(spark, slen_cur, dg_cur, u, slices)
+                slen_cur, dg_cur, stale = _slen_step(spark, slen_cur, dg_cur, [u], slices, apsp)
             stats.n_slen_passes += 1
+            stats.n_stale_sources += len(stale)
         else:
             gp_cur = apply_updates_pattern(gp_cur, [u])
         with stats.phase("refine"):
@@ -282,8 +272,11 @@ def eh_gpnm(
     dg_cur, slen_cur, matches = dg, slen, iquery
     for u in updates_d:
         with stats.phase("slen"):
-            slen_cur, dg_cur = _slen_step(spark, slen_cur, dg_cur, u, read_slices([u], slen_cur))
+            slen_cur, dg_cur, stale = _slen_step(
+                spark, slen_cur, dg_cur, [u], read_slices([u], slen_cur), apsp
+            )
         stats.n_slen_passes += 1
+        stats.n_stale_sources += len(stale)
         if u.uid in d_roots:
             with stats.phase("refine"):
                 universe = _regional_universe(
@@ -295,11 +288,8 @@ def eh_gpnm(
     gp_cur = gp
     for u in updates_p:
         with stats.phase("affected_area"):
-            region = _collect_ids(
-                candidate_nodes_pattern_update(
-                    spark, u, gp_cur, slen_cur, matches, dg_cur.nodes
-                )
-            )
+            slices = read_slices([u], slen_cur, gp_cur, matches, dg_cur.nodes)
+            region = candidate_sets([u], gp_cur, slices)[u.uid]
         gp_cur = apply_updates_pattern(gp_cur, [u])
         with stats.phase("refine"):
             universe = _regional_universe(spark, gp_cur, dg_cur.nodes, matches, region)
@@ -327,10 +317,11 @@ def ua_gpnm(
     partitioned: bool = True,
 ) -> tuple[DataFrame, RunStats]:
     """Updates-aware GPNM: full DER detection, EH-Tree (its roots counted,
-    not refined), one batched SLen rebuild, one matching pass.
+    not refined), one batched SLen step (none without a stale source), one
+    matching pass.
 
     ``partitioned=False`` is the paper's UA-GPNM-NoPar ablation (same
-    algorithm; the rebuild runs the BFS kernel over the whole graph as
+    algorithm; the step runs the BFS kernel over the whole graph as
     one group instead of one group per label partition).
     """
     stats = RunStats(
@@ -354,13 +345,10 @@ def ua_gpnm(
         stats.n_eliminated = len(eliminated_uids(roots))
 
     with stats.phase("slen"):
-        dg_new = apply_data_updates_spark(spark, dg, updates)
-        if partitioned:
-            slen_new = partitioned_apsp(dg_new.nodes, dg_new.edges)
-        else:
-            slen_new = apsp(dg_new.nodes, dg_new.edges)
-        slen_new = slen_new.localCheckpoint(eager=True)
-    stats.n_slen_passes = 1
+        build = partitioned_apsp if partitioned else apsp  # looked up here, where tracers patch it
+        slen_new, dg_new, stale = _slen_step(spark, slen, dg, updates_d, slices, build)
+    stats.n_stale_sources = len(stale)
+    stats.n_slen_passes = int(bool(stale))
 
     with stats.phase("consolidate"):
         final = match_fixpoint(

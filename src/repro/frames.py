@@ -11,7 +11,7 @@ PySpark converts the pandas frame row by row: same rows, same schema.
 """
 from __future__ import annotations
 
-from collections.abc import Iterable
+from collections.abc import Iterable, Set
 
 import pandas as pd
 from pyspark.sql import DataFrame, SparkSession
@@ -40,3 +40,9 @@ def local_frame(
     )
     df = spark.createDataFrame(pdf, schema=schema)
     return df.limit(0) if empty else df
+
+
+def id_list(ids: Set[int]) -> str:
+    """``ids`` as SQL integer literals. A filter string is parsed in one JVM
+    call, where ``Column.isin`` makes one per id (~0.6 ms each)."""
+    return ", ".join(map(str, sorted(ids)))

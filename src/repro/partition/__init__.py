@@ -6,10 +6,7 @@ from repro.partition.label_partition import (
     quotient_edges,
     reach_closure,
 )
-from repro.partition.partitioned_slen import (
-    partitioned_apsp,
-    partitioned_bfs_from_sources,
-)
+from repro.partition.partitioned_slen import partitioned_apsp
 
 __all__ = [
     "partition_of_nodes",
@@ -18,5 +15,4 @@ __all__ = [
     "quotient_edges",
     "reach_closure",
     "partitioned_apsp",
-    "partitioned_bfs_from_sources",
 ]

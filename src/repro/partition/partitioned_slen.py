@@ -8,24 +8,25 @@ task — the "processed distributively based on the partitions" of §V-A —
 over the whole edge list. A BFS from ``P_i``'s sources walks exactly the
 partitions reachable from ``P_i``, so Alg. 4's combination happens inside
 the BFS and nothing is computed up front. This is exact, unlike a literal
-reading of Alg. 5's single-bridge composition; see DESIGN.md §3.
+reading of Alg. 5's single-bridge composition; see DESIGN.md §3. After a
+batch, only the stale sources run again (UA-GPNM's batched SLen step).
 """
 from __future__ import annotations
+
+from collections.abc import Set
 
 from pyspark.sql import DataFrame
 
 # reach_closure is unused by the build; the benchmark's tracer looks it up here.
 from repro.partition.label_partition import partition_of_nodes, reach_closure  # noqa: F401
-from repro.spark_graph.bfs import grouped_bfs
+from repro.spark_graph.bfs import grouped_bfs, slen_step
 
 
-def partitioned_bfs_from_sources(
-    nodes: DataFrame, edges: DataFrame, sources: DataFrame
+def partitioned_apsp(
+    nodes: DataFrame, edges: DataFrame, slen: DataFrame | None = None, stale: Set[int] | None = None
 ) -> DataFrame:
-    """Finite shortest-path rows from each source, one task per partition."""
-    return grouped_bfs(edges, sources.join(partition_of_nodes(nodes), "id"), "pid")
-
-
-def partitioned_apsp(nodes: DataFrame, edges: DataFrame) -> DataFrame:
-    """SLen (all finite pairs) with the partitioned engine (UA-GPNM's builder)."""
-    return grouped_bfs(edges, partition_of_nodes(nodes), "pid")
+    """SLen (all finite pairs) with the partitioned engine (UA-GPNM's builder):
+    from scratch, or one ``slen_step`` from the SLen before a batch."""
+    return slen_step(
+        nodes, slen, stale, lambda sources: grouped_bfs(edges, partition_of_nodes(sources), "pid")
+    )

@@ -7,10 +7,10 @@ whole edge list (``kind="E"``, edge ``a → b``) and the group's sources
 (``kind="N"``, source ``a``); one task per group builds the adjacency and
 runs a queue BFS from each source. Callers differ only in the group key:
 
-* ``apsp`` / ``bfs_from_sources`` put every source in a single group;
-  INC-GPNM, EH-GPNM, UA-GPNM-NoPar and ``gpnm_from_scratch`` use them.
+* ``apsp`` puts every source in a single group; INC-GPNM, EH-GPNM,
+  UA-GPNM-NoPar and ``gpnm_from_scratch`` use it.
 * ``partition.partitioned_slen`` makes one group per label partition
-  (UA-GPNM, §V).
+  (UA-GPNM, §V); like ``apsp``, it can step from an earlier SLen (``slen_step``).
 
 A BFS from a source only walks what the source reaches, so a partition's
 BFS walks exactly its reach closure: giving each group every edge is exact
@@ -21,11 +21,13 @@ The paper uses Dijkstra; on unit-weight social graphs BFS *is* Dijkstra.
 from __future__ import annotations
 
 from collections import deque
+from collections.abc import Callable, Set
 
 import pandas as pd
 from pyspark.sql import DataFrame
 from pyspark.sql import functions as F
 
+from repro.frames import id_list
 from repro.spark_graph.slen import SLEN_SCHEMA
 
 
@@ -89,15 +91,27 @@ def grouped_bfs(edges: DataFrame, sources: DataFrame, key: str | None = None) ->
     return work.groupBy("gid").applyInPandas(_bfs_group, schema=SLEN_SCHEMA)
 
 
-def bfs_from_sources(edges: DataFrame, sources: DataFrame) -> DataFrame:
-    """All finite shortest-path rows ``(src, dst, dist)`` from every source.
+def slen_step(
+    nodes: DataFrame,
+    slen: DataFrame | None,
+    stale: Set[int] | None,
+    bfs: Callable[[DataFrame], DataFrame],
+) -> DataFrame:
+    """SLen of the graph ``bfs(sources)`` walks: BFS from every node, or, from
+    the SLen before a batch, its rows with ``src NOT IN (stale)`` and BFS from
+    the nodes with ``id IN (stale)``; a deleted node and its column's sources
+    are stale, so its rows go (DESIGN.md §3). No stale source: ``slen`` itself."""
+    if slen is None:
+        return bfs(nodes)
+    if not stale:
+        return slen
+    ids = id_list(stale)
+    return slen.filter(f"src NOT IN ({ids})").unionByName(bfs(nodes.filter(f"id IN ({ids})")))
 
-    ``edges``: (src, dst); ``sources``: (id). Includes the ``dist=0``
-    self rows — SLen's diagonal, needed by the relax/compose rules.
-    """
-    return grouped_bfs(edges, sources)
 
-
-def apsp(nodes: DataFrame, edges: DataFrame) -> DataFrame:
-    """All-pairs shortest path lengths (finite entries) = BFS from all nodes."""
-    return bfs_from_sources(edges, nodes.select("id"))
+def apsp(
+    nodes: DataFrame, edges: DataFrame, slen: DataFrame | None = None, stale: Set[int] | None = None
+) -> DataFrame:
+    """All-pairs shortest path lengths (finite entries, ``dist=0`` self rows
+    included), every source in one group: from scratch, or one ``slen_step``."""
+    return slen_step(nodes, slen, stale, lambda sources: grouped_bfs(edges, sources))

@@ -8,11 +8,14 @@
    DER-III equals re-evaluating ``Can_N`` on SLen rebuilt by ``ref_apsp``.
    The source rule (``mirror_sources``) covers every source whose row
    changes (exactly so for an edge insertion), and keeping the other rows
-   while re-running BFS from those sources rebuilds SLen exactly.
+   while re-running BFS from those sources rebuilds SLen exactly, for one
+   update and for a mixed batch (the union of the rules, each read on the
+   SLen before the batch).
 2. ``core.der``'s batched sets, read from Spark, against the mirror on
    batches mixing all eight update kinds, Fig. 1's included, and on two
    batches whose DER-III outcome turns on the exact length of the
-   inserted paths.
+   inserted paths; on the same batches, the batched SLen step under both
+   builders equals ``ref_apsp`` of the updated graph.
 """
 from collections import Counter
 
@@ -27,6 +30,7 @@ from repro.core.der import (
     source_sets,
 )
 from repro.core.matching import match_fixpoint, matches_to_dict
+from repro.core.methods import _slen_step
 from repro.graphs.datagraph import DataGraph
 from repro.graphs.pattern import PatternGraph
 from repro.graphs.updates import (
@@ -43,6 +47,7 @@ from repro.reference_der import (
     mirror_residual,
     mirror_sources,
 )
+from repro.partition.partitioned_slen import partitioned_apsp
 from repro.spark_graph.bfs import apsp
 from repro.synth_graph import fig1_example
 from tests.util import random_edges, tiny_graph, tiny_pattern
@@ -148,6 +153,36 @@ def test_mirror_sources_rebuild_slen(kind):
     assert len(kinds) == 4
 
 
+@pytest.mark.parametrize("kind", ["social", "sparse"])
+def test_batch_sources_step_to_slen_new(kind):
+    """The batch rule: the union of ``mirror_sources`` over a mixed batch,
+    each read on the SLen before it, covers every source whose row the
+    batch changes; keep the other rows, re-run BFS from the sources on the
+    updated graph, and that is SLen_new. Odd seeds also re-insert a deleted
+    edge and delete an inserted one, so some updates cancel."""
+    kinds = Counter()
+    for seed in MIRROR_SEEDS:
+        labels, edges = _graph(kind, seed, 18)
+        old = ref_apsp(sorted(labels), edges)
+        gp = tiny_pattern(seed, sorted(set(labels.values())), n_nodes=3)
+        batch = [u for u in _batch(labels, edges, gp, seed, m_g=2) if u.graph == "D"]
+        if seed % 2:
+            dels = [u for u in batch if u.kind == "edge_del"][:1]
+            ins = [u for u in batch if u.kind == "edge_ins"][:1]
+            batch += [Update(graph="D", kind="edge_ins", src=u.src, dst=u.dst) for u in dels]
+            batch += [Update(graph="D", kind="edge_del", src=u.src, dst=u.dst) for u in ins]
+        new_labels, new_edges = apply_updates_data(labels, edges, batch)
+        new = ref_apsp(sorted(new_labels), new_edges)
+        stale = set().union(*(mirror_sources(old, u) for u in batch))
+        changed = {s for s, t in set(old) | set(new) if old.get((s, t)) != new.get((s, t))}
+        assert stale >= changed, seed
+        kept = {k: d for k, d in old.items() if k[0] not in stale}
+        fresh = ref_apsp(sorted(stale & set(new_labels)), new_edges)
+        assert kept | fresh == new, seed
+        kinds.update(u.kind for u in batch)
+    assert len(kinds) == 4
+
+
 def _fig1_case():
     ex = fig1_example()
     ups = ex["updates"]
@@ -223,3 +258,19 @@ def test_spark_batch_equals_mirror(spark, case):
         for ud in (u for u in updates_d if u.is_insertion):
             want = mirror_residual(up, ud, matches, ref_slen)
             assert residual_candidates(up, ud, slices) == want, (up, ud)
+
+
+@pytest.mark.parametrize("case", list(CASES))
+def test_spark_batch_slen_step_equals_ref_apsp(spark, case):
+    """UA-GPNM's batched SLen step, under both builders, is SLen of the updated graph."""
+    labels, edges, _, updates = CASES[case]()
+    updates_d = [u for u in updates if u.graph == "D"]
+    dg = DataGraph.from_edge_list(spark, labels, edges)
+    slen = apsp(dg.nodes, dg.edges).localCheckpoint(eager=True)
+    slices = read_slices(updates_d, slen)
+    new_labels, new_edges = apply_updates_data(labels, edges, updates_d)
+    want = ref_apsp(sorted(new_labels), new_edges)
+    for build in (apsp, partitioned_apsp):
+        got, _, stale = _slen_step(spark, slen, dg, updates_d, slices, build)
+        assert stale
+        assert {(r.src, r.dst): r.dist for r in got.collect()} == want, build.__name__

@@ -1,4 +1,5 @@
 """All four GPNM methods on randomized instances: exactness + cost accounting."""
+import itertools
 from collections import Counter
 from contextlib import contextmanager
 
@@ -30,6 +31,7 @@ from tests.util import spark_jobs, tiny_graph
 SEEDS = [0]
 
 _instance_cache: dict[int, tuple] = {}
+_GROUPS = itertools.count()
 
 
 def _mk_instance(spark, seed, n=32, e=100):
@@ -99,6 +101,29 @@ def test_empty_update_list(spark, method):
     assert matches_to_dict(res) == matches_to_dict(iq)
 
 
+def _phase_jobs(spark, monkeypatch, phase_name, fn):
+    """``fn()`` and the number of Spark jobs started inside its ``phase_name``
+    phases, read from a job group of their own (a group keeps its finished jobs)."""
+    sc = spark.sparkContext
+    group = f"phase-{phase_name}-{next(_GROUPS)}"
+    phase = RunStats.phase
+
+    @contextmanager
+    def grouped(self, name):
+        with phase(self, name):
+            if name == phase_name:
+                sc.setJobGroup(group, f"UA-GPNM {phase_name}")
+            try:
+                yield
+            finally:
+                sc.setLocalProperty("spark.jobGroup.id", None)
+
+    monkeypatch.setattr(RunStats, "phase", grouped)
+    out = fn()
+    sc._jsc.sc().listenerBus().waitUntilEmpty()  # job events arrive asynchronously
+    return out, len(sc.statusTracker().getJobIdsForGroup(group))
+
+
 class TestCostAccounting:
     def test_inc_counts_one_pass_per_update(self, spark):
         labels, edges, dg, slen, gp, iq, updates = _mk_instance(spark, 6)
@@ -118,7 +143,7 @@ class TestCostAccounting:
         labels, edges, dg, slen, gp, iq, updates = _mk_instance(spark, 6)
         _, eh_stats = eh_gpnm(spark, dg, gp, slen, iq, updates)
         _, ua_stats = ua_gpnm(spark, dg, gp, slen, iq, updates)
-        assert ua_stats.n_slen_passes == 1
+        assert ua_stats.n_slen_passes == 1 and ua_stats.n_stale_sources > 0
         assert ua_stats.n_roots <= eh_stats.n_refine_passes + len(
             [u for u in updates if u.graph == "P"]
         )
@@ -134,8 +159,8 @@ class TestCostAccounting:
     @pytest.mark.parametrize("partitioned, jobs", [(True, 9), (False, 8)])
     def test_ua_squery_spark_jobs(self, spark, monkeypatch, partitioned, jobs):
         """A whole UA-GPNM SQuery: the detect reads, the graph update's
-        checkpoints, the SLen rebuild and one answer pass, with no regional
-        pass. Pinned, so an added Spark action shows."""
+        checkpoints, the batched SLen step and one answer pass, with no
+        regional pass. Pinned, so an added Spark action shows."""
         labels, edges, dg, slen, gp, iq, updates = _mk_instance(spark, 6)
         calls = []
 
@@ -177,24 +202,26 @@ class TestCostAccounting:
             generate_pattern_updates(gp, vocab, m_p=2, n_p=2, seed=6)
         )
         assert len(batch) == 16
-        sc = spark.sparkContext
-        group = f"ua-detect-{n_updates}"  # a group keeps its finished jobs
-        phase = RunStats.phase
+        _, jobs = _phase_jobs(
+            spark, monkeypatch, "detect", lambda: ua_gpnm(spark, dg, gp, slen, iq, batch[:n_updates])
+        )
+        assert 1 <= jobs <= 4
 
-        @contextmanager
-        def grouped(self, name):
-            with phase(self, name):
-                if name == "detect":
-                    sc.setJobGroup(group, "UA-GPNM detect")
-                try:
-                    yield
-                finally:
-                    sc.setLocalProperty("spark.jobGroup.id", None)
-
-        monkeypatch.setattr(RunStats, "phase", grouped)
-        ua_gpnm(spark, dg, gp, slen, iq, batch[:n_updates])
-        sc._jsc.sc().listenerBus().waitUntilEmpty()  # job events arrive asynchronously
-        assert 1 <= len(sc.statusTracker().getJobIdsForGroup(group)) <= 4
+    @pytest.mark.parametrize("partitioned", [True, False])
+    def test_ua_keeps_slen_without_a_spark_job_when_no_data_update(
+        self, spark, monkeypatch, partitioned
+    ):
+        """A batch of pattern updates alone has no stale source, so the SLen
+        step keeps SLen as it is: the ``slen`` phase makes no Spark job."""
+        labels, edges, dg, slen, gp, iq, updates = _mk_instance(spark, 6)
+        batch = [u for u in updates if u.graph == "P"]
+        assert batch
+        (_, stats), jobs = _phase_jobs(
+            spark, monkeypatch, "slen",
+            lambda: ua_gpnm(spark, dg, gp, slen, iq, batch, partitioned=partitioned),
+        )
+        assert jobs == 0
+        assert (stats.n_slen_passes, stats.n_stale_sources) == (0, 0)
 
     def test_phase_timings_recorded(self, spark):
         labels, edges, dg, slen, gp, iq, updates = _mk_instance(spark, 8)

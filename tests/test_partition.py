@@ -9,11 +9,9 @@ from repro.partition.label_partition import (
     quotient_edges,
     reach_closure,
 )
-from repro.partition.partitioned_slen import (
-    partitioned_apsp,
-    partitioned_bfs_from_sources,
-)
+from repro.partition.partitioned_slen import partitioned_apsp
 from repro.reference import ref_apsp
+from repro.spark_graph.slen import SLEN_SCHEMA
 from repro.synth_graph import fig4_example
 from tests.util import spark_jobs, tiny_graph
 
@@ -168,17 +166,17 @@ class TestPartitionedAPSP:
         assert got == ref_apsp(sorted(labels), edges)
 
     def test_partitioned_bfs_subset_sources(self, spark):
+        """A step from an SLen whose stale sources' rows are wrong: those rows
+        go, BFS from the stale sources alone gives them back, the rest stay."""
         inputs = [(tiny_graph(7, n=30, e=90), 6)] + [(make(), 3) for make in NON_SCC.values()]
         for (labels, edges), step in inputs:
             dg = DataGraph.from_edge_list(spark, labels, edges)
-            srcs = sorted(labels)[::step]
-            sources = spark.createDataFrame([(s,) for s in srcs], schema="id long")
-            got = {
-                (r.src, r.dst): r.dist
-                for r in partitioned_bfs_from_sources(dg.nodes, dg.edges, sources).collect()
-            }
+            stale = set(sorted(labels)[::step])
             full = ref_apsp(sorted(labels), edges)
-            assert got == {(s, d): v for (s, d), v in full.items() if s in srcs}
+            wrong = [(s, d, v + 7 if s in stale else v) for (s, d), v in full.items()]
+            slen = spark.createDataFrame(wrong, schema=SLEN_SCHEMA)
+            got = partitioned_apsp(dg.nodes, dg.edges, slen, stale).collect()
+            assert {(r.src, r.dst): r.dist for r in got} == full
 
     def test_isolated_partition_distances_stay_internal(self, spark):
         """OB(P_i)=∅ ⇒ no finite distance leaves the partition (Alg. 5 line 3)."""

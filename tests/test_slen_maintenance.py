@@ -21,6 +21,11 @@ def inst(spark):
     return labels, edges, dg, slen
 
 
+def _step(spark, slen, dg, u):
+    """(SLen, graph) after one data update: the per-update step INC-GPNM takes."""
+    return _slen_step(spark, slen, dg, [u], read_slices([u], slen), apsp)[:2]
+
+
 def _slen_dict(df):
     return {(r.src, r.dst): r.dist for r in df.collect()}
 
@@ -61,7 +66,7 @@ class TestEdgeInsert:
         labels, edges, dg, slen = inst
         a, b = _nonedge(labels, edges, seed)
         u = Update(graph="D", kind="edge_ins", src=a, dst=b)
-        out, _ = _slen_step(spark, slen, dg, u, read_slices([u], slen))
+        out, _ = _step(spark, slen, dg, u)
         assert _slen_dict(out) == ref_apsp(sorted(labels), edges + [(a, b)])
 
     def test_insert_existing_shortcut_changes_nothing(self, spark, inst):
@@ -93,7 +98,7 @@ class TestEdgeDelete:
         labels, edges, dg, slen = inst
         a, b = edges[idx]
         u = Update(graph="D", kind="edge_del", src=a, dst=b)
-        out, dg_new = _slen_step(spark, slen, dg, u, read_slices([u], slen))
+        out, dg_new = _step(spark, slen, dg, u)
         new_edges = [e for e in edges if e != (a, b)]
         assert _slen_dict(out) == ref_apsp(sorted(labels), new_edges)
 
@@ -111,7 +116,7 @@ class TestNodeUpdates:
             label="A",
             attach_edges=((anchor, nid), (nid, sorted(labels)[seed + 3])),
         )
-        out, _ = _slen_step(spark, slen, dg, u, read_slices([u], slen))
+        out, _ = _step(spark, slen, dg, u)
         new_labels, new_edges = apply_updates_data(labels, edges, [u])
         assert _slen_dict(out) == ref_apsp(sorted(new_labels), new_edges)
 
@@ -120,7 +125,7 @@ class TestNodeUpdates:
         labels, edges, dg, slen = inst
         x = sorted(labels)[seed * 7 + 2]
         u = Update(graph="D", kind="node_del", node=x)
-        out, _ = _slen_step(spark, slen, dg, u, read_slices([u], slen))
+        out, _ = _step(spark, slen, dg, u)
         new_labels, new_edges = apply_updates_data(labels, edges, [u])
         assert _slen_dict(out) == ref_apsp(sorted(new_labels), new_edges)
 
@@ -131,7 +136,7 @@ def test_chained_steps_over_all_four_kinds(spark, inst):
     updates = generate_data_updates(labels, edges, m_g=2, n_g=2, seed=4)
     assert {u.kind for u in updates} == {"edge_ins", "edge_del", "node_ins", "node_del"}
     for u in updates:
-        slen, dg = _slen_step(spark, slen, dg, u, read_slices([u], slen))
+        slen, dg = _step(spark, slen, dg, u)
     new_labels, new_edges = apply_updates_data(labels, edges, updates)
     assert _slen_dict(slen) == ref_apsp(sorted(new_labels), new_edges)
 
@@ -159,7 +164,7 @@ def test_slen_step_spark_jobs(spark, inst, kind, jobs):
     group = f"slen-step-{kind}"  # a group keeps its finished jobs
     sc.setJobGroup(group, "one _slen_step")
     try:
-        _slen_step(spark, slen, dg, u, read_slices([u], slen))
+        _step(spark, slen, dg, u)
     finally:
         sc.setLocalProperty("spark.jobGroup.id", None)
     sc._jsc.sc().listenerBus().waitUntilEmpty()  # job events arrive asynchronously

@@ -6,8 +6,9 @@ from pyspark.sql import functions as F
 from repro.graphs.datagraph import DataGraph
 from repro.oracle import assert_equivalent
 from repro.reference import ref_apsp, ref_bfs
-from repro.spark_graph.bfs import apsp, bfs_from_sources
-from tests.util import random_edges, tiny_graph
+from repro.spark_graph.bfs import apsp
+from repro.spark_graph.slen import SLEN_SCHEMA
+from tests.util import random_edges, spark_jobs, tiny_graph
 
 SEEDS = [0, 1, 2]
 
@@ -55,12 +56,16 @@ def test_apsp_matches_duckdb_oracle(spark, seed):
     )
 
 
+def _no_rows(spark):
+    return spark.createDataFrame([], schema=SLEN_SCHEMA)
+
+
 def test_bfs_single_source(spark):
+    """A step from an empty SLen with one stale source is BFS from it."""
     labels, edges = tiny_graph(3)
     dg = DataGraph.from_edge_list(spark, labels, edges)
     src = sorted(labels)[0]
-    sources = spark.createDataFrame([(src,)], schema="id long")
-    got = {r.dst: r.dist for r in bfs_from_sources(dg.edges, sources).collect()}
+    got = {r.dst: r.dist for r in apsp(dg.nodes, dg.edges, _no_rows(spark), {src}).collect()}
     adj: dict[int, list[int]] = {}
     for s, d in edges:
         adj.setdefault(s, []).append(d)
@@ -71,8 +76,10 @@ def test_bfs_subset_of_sources(spark):
     labels, edges = tiny_graph(4)
     dg = DataGraph.from_edge_list(spark, labels, edges)
     srcs = sorted(labels)[:5]
-    sources = spark.createDataFrame([(s,) for s in srcs], schema="id long")
-    got = {(r.src, r.dst): r.dist for r in bfs_from_sources(dg.edges, sources).collect()}
+    got = {
+        (r.src, r.dst): r.dist
+        for r in apsp(dg.nodes, dg.edges, _no_rows(spark), set(srcs)).collect()
+    }
     full = ref_apsp(sorted(labels), edges)
     assert got == {(s, d): v for (s, d), v in full.items() if s in srcs}
 
@@ -97,3 +104,12 @@ def test_bfs_cycle_distances(spark):
     dg = DataGraph.from_edge_list(spark, labels, edges)
     got = {(r.src, r.dst): r.dist for r in apsp(dg.nodes, dg.edges).collect()}
     assert got[(0, 3)] == 3 and got[(3, 1)] == 2 and got[(2, 2)] == 0
+
+
+def test_step_with_no_stale_source_keeps_slen(spark):
+    """No stale source: the step returns the SLen it was given, with no Spark job."""
+    labels, edges = tiny_graph(5)
+    dg = DataGraph.from_edge_list(spark, labels, edges)
+    slen = _no_rows(spark)
+    out, jobs = spark_jobs(spark, lambda: apsp(dg.nodes, dg.edges, slen, set()))
+    assert out is slen and jobs == 0
