@@ -9,7 +9,8 @@ over the whole edge list. A BFS from ``P_i``'s sources walks exactly the
 partitions reachable from ``P_i``, so Alg. 4's combination happens inside
 the BFS and nothing is computed up front. This is exact, unlike a literal
 reading of Alg. 5's single-bridge composition; see DESIGN.md §3. After a
-batch, only the stale sources run again (UA-GPNM's batched SLen step).
+batch, only the stale sources run again (UA-GPNM's batched SLen step), on
+the driver if the step is small (``spark_graph.bfs.slen_step``).
 """
 from __future__ import annotations
 
@@ -18,15 +19,14 @@ from collections.abc import Set
 from pyspark.sql import DataFrame
 
 # reach_closure is unused by the build; the benchmark's tracer looks it up here.
-from repro.partition.label_partition import partition_of_nodes, reach_closure  # noqa: F401
-from repro.spark_graph.bfs import grouped_bfs, slen_step
+from repro.partition.label_partition import reach_closure  # noqa: F401
+from repro.spark_graph.bfs import slen_step
 
 
 def partitioned_apsp(
     nodes: DataFrame, edges: DataFrame, slen: DataFrame | None = None, stale: Set[int] | None = None
 ) -> DataFrame:
     """SLen (all finite pairs) with the partitioned engine (UA-GPNM's builder):
-    from scratch, or one ``slen_step`` from the SLen before a batch."""
-    return slen_step(
-        nodes, slen, stale, lambda sources: grouped_bfs(edges, partition_of_nodes(sources), "pid")
-    )
+    from scratch, or one ``slen_step`` from the SLen before a batch. A node's
+    partition is its label (``partition_of_nodes``), so the label is the key."""
+    return slen_step(nodes, edges, slen, stale, "label")

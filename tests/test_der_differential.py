@@ -16,6 +16,8 @@
    batches whose DER-III outcome turns on the exact length of the
    inserted paths; on the same batches, the batched SLen step under both
    builders equals ``ref_apsp`` of the updated graph.
+   The same test adds steps on either side of ``DRIVER_STEP_ROWS`` and
+   checks that only a rebuild or the step above it runs ``grouped_bfs``.
 """
 from collections import Counter
 
@@ -48,6 +50,7 @@ from repro.reference_der import (
     mirror_sources,
 )
 from repro.partition.partitioned_slen import partitioned_apsp
+from repro.spark_graph import bfs
 from repro.spark_graph.bfs import apsp
 from repro.synth_graph import fig1_example
 from tests.util import random_edges, tiny_graph, tiny_pattern
@@ -260,17 +263,81 @@ def test_spark_batch_equals_mirror(spark, case):
             assert residual_candidates(up, ud, slices) == want, (up, ud)
 
 
-@pytest.mark.parametrize("case", list(CASES))
-def test_spark_batch_slen_step_equals_ref_apsp(spark, case):
-    """UA-GPNM's batched SLen step, under both builders, is SLen of the updated graph."""
-    labels, edges, _, updates = CASES[case]()
+def _wide_step(*updates):
+    """120 nodes in one SCC; an inserted edge into node 20 makes 83 or 90 of
+    them stale, so a step writes 9 960 or 10 800 rows."""
+    labels, edges = tiny_graph(0, n=120, e=360, n_labels=3)
+    assert len(ref_apsp(sorted(labels), edges)) == 120 * 120
+    return labels, edges, None, list(updates)
+
+
+def _source_only_node_deleted():
+    """A deleted node with no in-edge: it is its column's only source, so the
+    step's one stale source is gone and its BFS has no source at all."""
+    labels, edges = tiny_graph(0, n=24, e=72, n_labels=3)
+    return {**labels, 24: "A"}, edges + [(24, 0), (24, 7)], None, [Update(graph="D", kind="node_del", node=24)]
+
+
+#: The step alone, with the placement its size must take: CASES' steps are
+#: all small, so these add one above ``DRIVER_STEP_ROWS``, one just below it,
+#: and one with no live stale source.
+STEP_CASES = {
+    **{c: (make, None) for c, make in CASES.items()},
+    "step-above-bound": (
+        lambda: _wide_step(
+            Update(graph="D", kind="edge_ins", src=28, dst=20),
+            Update(graph="D", kind="edge_del", src=9, dst=34),
+        ),
+        "spark",
+    ),
+    "step-below-bound": (
+        lambda: _wide_step(Update(graph="D", kind="edge_ins", src=72, dst=20)),
+        "driver",
+    ),
+    "step-deleted-source-only": (_source_only_node_deleted, "driver"),
+}
+
+
+@pytest.mark.parametrize("case", list(STEP_CASES))
+def test_spark_batch_slen_step_equals_ref_apsp(spark, monkeypatch, case):
+    """UA-GPNM's batched SLen step, under both builders, is SLen of the updated
+    graph. A rebuild, or a step above ``DRIVER_STEP_ROWS`` rows, runs
+    ``grouped_bfs``; a smaller step runs the kernel on the driver, whose rows
+    go back through ``local_frame``."""
+    make, placement = STEP_CASES[case]
+    labels, edges, _, updates = make()
     updates_d = [u for u in updates if u.graph == "D"]
     dg = DataGraph.from_edge_list(spark, labels, edges)
     slen = apsp(dg.nodes, dg.edges).localCheckpoint(eager=True)
     slices = read_slices(updates_d, slen)
     new_labels, new_edges = apply_updates_data(labels, edges, updates_d)
     want = ref_apsp(sorted(new_labels), new_edges)
+    grouped, driver_rows = [], []
+    grouped_bfs, local_frame = bfs.grouped_bfs, bfs.local_frame
+
+    def spy_grouped(*args, **kwargs):
+        grouped.append(args)
+        return grouped_bfs(*args, **kwargs)
+
+    def spy_local(spark, rows, schema):
+        rows = list(rows)
+        driver_rows.append(len(rows))
+        return local_frame(spark, rows, schema)
+
+    monkeypatch.setattr(bfs, "grouped_bfs", spy_grouped)
+    monkeypatch.setattr(bfs, "local_frame", spy_local)
     for build in (apsp, partitioned_apsp):
+        grouped.clear()
+        driver_rows.clear()
         got, _, stale = _slen_step(spark, slen, dg, updates_d, slices, build)
         assert stale
-        assert {(r.src, r.dst): r.dist for r in got.collect()} == want, build.__name__
+        rebuild = stale >= slices.nodes
+        on_spark = rebuild or len(stale) * len(new_labels) > bfs.DRIVER_STEP_ROWS
+        if placement:  # a step from the old SLen, on the side its size says
+            assert not rebuild and placement == ("spark" if on_spark else "driver")
+        assert bool(grouped) == on_spark != bool(driver_rows), build.__name__
+        rows = got.collect()
+        assert len(rows) == len(want), build.__name__  # no source's rows twice
+        assert {(r.src, r.dst): r.dist for r in rows} == want, build.__name__
+        if case == "step-deleted-source-only":  # no live source: the empty frame
+            assert not stale & set(new_labels) and driver_rows == [0]

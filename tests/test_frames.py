@@ -1,5 +1,6 @@
 """``local_frame`` builds the same frame as a plain ``createDataFrame``, and
-is the only way the program builds a driver-side frame."""
+is the only way the program builds a driver-side frame; ``grouped_bfs`` is
+the only caller of ``applyInPandas``."""
 import ast
 from pathlib import Path
 
@@ -55,14 +56,14 @@ def test_local_frame_runs_no_python_worker(arrow_only, case):
     assert "PythonRDD" not in lineage
 
 
-def _create_data_frame_callers() -> set[tuple[str, str]]:
-    """(module path, innermost enclosing function) of every ``createDataFrame``."""
+def _callers(attr: str) -> set[tuple[str, str]]:
+    """(module path, innermost enclosing function) of every use of ``.attr``."""
     found = set()
     for path in SRC.rglob("*.py"):
         tree = ast.parse(path.read_text())
         fns = [n for n in ast.walk(tree) if isinstance(n, (ast.FunctionDef, ast.AsyncFunctionDef))]
         for node in ast.walk(tree):
-            if isinstance(node, ast.Attribute) and node.attr == "createDataFrame":
+            if isinstance(node, ast.Attribute) and node.attr == attr:
                 owner = min(
                     (f for f in fns if f.lineno <= node.lineno <= f.end_lineno),
                     key=lambda f: f.end_lineno - f.lineno,
@@ -75,7 +76,13 @@ def _create_data_frame_callers() -> set[tuple[str, str]]:
 def test_only_local_frame_calls_create_data_frame():
     """A list-built frame costs a Python-worker round trip on every action
     (DESIGN.md §6); ``DataGraph.from_pandas`` already holds a pandas frame."""
-    assert _create_data_frame_callers() == {
+    assert _callers("createDataFrame") == {
         ("frames.py", "local_frame"),
         ("graphs/datagraph.py", "from_pandas"),
     }
+
+
+def test_only_grouped_bfs_calls_apply_in_pandas():
+    """Python-worker jobs stay in the BFS kernel's one Spark builder; a step
+    small enough for the driver runs the same kernel there (DESIGN.md §6)."""
+    assert _callers("applyInPandas") == {("spark_graph/bfs.py", "grouped_bfs")}

@@ -223,6 +223,25 @@ class TestCostAccounting:
         assert jobs == 0
         assert (stats.n_slen_passes, stats.n_stale_sources) == (0, 0)
 
+    @pytest.mark.parametrize("partitioned", [True, False])
+    def test_ua_small_step_runs_on_the_driver(self, spark, monkeypatch, partitioned):
+        """One edge insertion in each graph, as on the email-mixed benchmark:
+        the step is small enough for the driver, so the ``slen`` phase is the
+        graph update's two checkpoints and one work-frame read, whichever the
+        builder, and the answer is still exact."""
+        labels, edges, dg, slen, gp, iq, updates = _mk_instance(spark, 6)
+        batch = [u for u in updates if u.graph == "P" or u.kind == "edge_ins"]
+        assert {u.graph for u in batch} == {"D", "P"}
+        (out, stats), jobs = _phase_jobs(
+            spark, monkeypatch, "slen",
+            lambda: ua_gpnm(spark, dg, gp, slen, iq, batch, partitioned=partitioned),
+        )
+        assert 0 < stats.n_stale_sources < len(labels)
+        assert jobs == 3
+        gp_new, expected = _expected(labels, edges, gp, batch)
+        got = matches_to_dict(out)
+        assert {p: got.get(p, set()) for p in gp_new.nodes} == expected
+
     def test_phase_timings_recorded(self, spark):
         labels, edges, dg, slen, gp, iq, updates = _mk_instance(spark, 8)
         _, stats = ua_gpnm(spark, dg, gp, slen, iq, updates)

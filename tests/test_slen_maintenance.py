@@ -142,12 +142,14 @@ def test_chained_steps_over_all_four_kinds(spark, inst):
 
 
 @pytest.mark.parametrize(
-    "kind, jobs", [("edge_ins", 5), ("edge_del", 5), ("node_ins", 5), ("node_del", 5)]
+    "kind, jobs", [("edge_ins", 4), ("edge_del", 4), ("node_ins", 5), ("node_del", 5)]
 )
 def test_slen_step_spark_jobs(spark, inst, kind, jobs):
-    """Jobs of one step with its slice read: the read, the graph update's
-    checkpoints, and the BFS with its checkpoint. Pinned, so an added Spark
-    action shows."""
+    """Jobs of one step with its slice read: the read and the graph update's
+    checkpoints, then either the work-frame read of a step small enough for
+    the driver (the edge updates), or, where every node is stale (the node
+    updates on this one-SCC graph), the rebuild with its checkpoint. Pinned,
+    so an added Spark action shows."""
     labels, edges, dg, slen = inst
     ids = sorted(labels)
     nid = max(ids) + 1
