@@ -4,9 +4,10 @@ Mirrors conftest.py's settings so `python jobs/<name>.py` and the pytest
 suite exercise identical Spark configurations.
 
 ``src`` goes on this process's ``sys.path`` and, before the JVM starts, on
-the ``PYTHONPATH`` it hands to its Python workers: every SLen build runs
-in ``applyInPandas`` workers, which must import ``repro`` from a checkout
-with no install.
+the ``PYTHONPATH`` it hands to its Python workers: an SLen build or step
+above ``DRIVER_BFS_ROWS`` rows (every Table XI build) runs in
+``applyInPandas`` workers, which must import ``repro`` from a checkout with
+no install.
 """
 import os
 import sys

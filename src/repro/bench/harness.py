@@ -63,7 +63,7 @@ def prepare_query(
     labels, edges = dataset_graph(dataset)
     dg = DataGraph.from_edge_list(spark, labels, edges).cache()
     dg.counts()  # materialize the cache outside any timer
-    slen = partitioned_apsp(dg.nodes, dg.edges).localCheckpoint(eager=True)
+    slen = partitioned_apsp(dg.nodes, dg.edges)
 
     label_vocab = sorted(set(labels.values()))
     gp = None

@@ -17,13 +17,14 @@ in the tests) — they differ in how much work they do:
 * **UA-GPNM**: identical, but the batched step groups its BFS sources by
   the label partition of §V.
 
-Every SLen build runs the one BFS kernel of ``spark_graph.bfs`` in Python
-workers, by label partition for UA-GPNM, as one group otherwise. Every
-method maintains SLen with one step (``_slen_step``): it keeps every row
-except those of the stale sources ``der.source_sets`` names and re-runs the
-kernel from those alone, per data update (INC-GPNM, EH-GPNM) or once per
-batch (UA-GPNM); a step of at most ``DRIVER_STEP_ROWS`` rows runs the kernel
-on the driver, a larger one in Python workers.
+Every SLen computation runs the one BFS kernel of ``spark_graph.bfs``.
+Every method maintains SLen with one step (``_slen_step``): it keeps every
+row except those of the stale sources ``der.source_sets`` names and re-runs
+the kernel from those alone, per data update (INC-GPNM, EH-GPNM) or once
+per batch (UA-GPNM), or rebuilds SLen when every source is stale. A build
+or step of at most ``DRIVER_BFS_ROWS`` rows runs the kernel on the driver;
+a larger one runs it in Python workers, by label partition for UA-GPNM, as
+one group otherwise.
 
 Answers: UA-GPNM's SQuery is one full-universe ``match_fixpoint`` on the
 updated graphs, which is BGS on them and exact by construction; its EH-Tree
@@ -177,12 +178,12 @@ def _slen_step(
 ) -> tuple[DataFrame, DataGraph, frozenset[int]]:
     """(SLen, graph, stale sources) after data ``updates`` of any kinds and number:
     ``build`` re-runs BFS from the union of their ``source_sets`` read on ``slen``
-    (DESIGN.md §3). A rebuild is checkpointed here, a Spark step by ``build``
-    (``slen_step``), so the caller's timer sees the BFS."""
+    (DESIGN.md §3). ``build`` (``slen_step``) places the BFS and checkpoints a
+    Spark-placed one, so the caller's timer sees the BFS."""
     stale = frozenset().union(*source_sets(updates, slices).values())
     dg_new = apply_data_updates_spark(spark, dg, updates)
     if stale and stale >= slices.nodes:  # no row stays: build anew, no scan of slen
-        return build(dg_new.nodes, dg_new.edges).localCheckpoint(eager=True), dg_new, stale
+        return build(dg_new.nodes, dg_new.edges), dg_new, stale
     return build(dg_new.nodes, dg_new.edges, slen, stale), dg_new, stale
 
 

@@ -1,20 +1,20 @@
 """Unweighted multi-source BFS: the one shortest-path kernel, two placements.
 
-``_bfs_group`` runs over a *work frame* ``(gid, kind, a, b)`` that carries,
-per group ``gid``, the whole edge list (``kind="E"``, edge ``a → b``) and
-the group's sources (``kind="N"``, source ``a``): it builds the adjacency
-and runs a queue BFS from each source. Every SLen build, and every step
-that writes more than ``DRIVER_STEP_ROWS`` rows, runs it inside Python
-workers through ``grouped_bfs`` (``groupBy("gid").applyInPandas``, one task
-per group). A smaller step reads the work frame to the driver in one Arrow
-read and runs it there (``slen_step``): below that size the Python-worker
-job, not the BFS, is the step's cost (DESIGN.md §6). Callers differ only in
-the group key:
+``_bfs`` builds the adjacency of an edge list and runs a queue BFS from
+each source. Every SLen computation, build or step, goes through
+``slen_step``, which places it by the rows it writes (|sources| × |V|):
+at most ``DRIVER_BFS_ROWS`` rows run ``_bfs`` on the driver, on the node
+ids and edges read in two Arrow reads, and larger ones run it inside Python
+workers through ``grouped_bfs`` (``groupBy("gid").applyInPandas`` over a
+*work frame* ``(gid, kind, a, b)`` that carries, per group ``gid``, the
+whole edge list and the group's sources, one task per group). Below the
+bound the Python-worker job, not the BFS, is the cost (DESIGN.md §6).
+Callers differ only in the group key, which only the Spark placement uses:
 
 * ``apsp`` puts every source in a single group; INC-GPNM, EH-GPNM,
   UA-GPNM-NoPar and ``gpnm_from_scratch`` use it.
 * ``partition.partitioned_slen`` makes one group per label partition
-  (UA-GPNM, §V); like ``apsp``, it can step from an earlier SLen (``slen_step``).
+  (UA-GPNM, §V).
 
 A BFS from a source only walks what the source reaches, so a partition's
 BFS walks exactly its reach closure: giving each group every edge is exact
@@ -25,7 +25,7 @@ The paper uses Dijkstra; on unit-weight social graphs BFS *is* Dijkstra.
 from __future__ import annotations
 
 from collections import deque
-from collections.abc import Set
+from collections.abc import Iterable, Set
 
 import pandas as pd
 from pyspark.sql import DataFrame
@@ -35,19 +35,15 @@ from repro.frames import id_list, local_frame
 from repro.spark_graph.slen import SLEN_SCHEMA
 
 
-def _bfs_group(pdf: pd.DataFrame) -> pd.DataFrame:
-    """BFS from every source row over the edge rows of one group."""
+def _bfs(edges: Iterable[tuple[int, int]], sources: Iterable[int]) -> pd.DataFrame:
+    """``(src, dst, dist)`` from every source over the edges ``a → b``."""
     adj: dict[int, list[int]] = {}
-    sources: list[int] = []
-    for kind, a, b in zip(pdf["kind"], pdf["a"], pdf["b"]):
-        if kind == "E":
-            adj.setdefault(int(a), []).append(int(b))
-        else:
-            sources.append(int(a))
+    for a, b in edges:
+        adj.setdefault(int(a), []).append(int(b))
     out_src: list[int] = []
     out_dst: list[int] = []
     out_dist: list[int] = []
-    for s in sources:
+    for s in map(int, sources):
         dist = {s: 0}
         q = deque([s])
         while q:
@@ -63,24 +59,34 @@ def _bfs_group(pdf: pd.DataFrame) -> pd.DataFrame:
     return pd.DataFrame({"src": out_src, "dst": out_dst, "dist": out_dist})
 
 
-#: Most rows (``|stale| × |V_new|``) a step from an old SLen builds on the
-#: driver; a larger step, and every build, runs in Python workers. Below it
-#: the worker job's fixed cost is the step: from the Table XI seed-0 SLen, a
-#: step of 10 sources (12 000 rows) took 0.37 s on the driver against 1.03 s
-#: in Spark on livejournal-lite, and the two met near 60 000 rows (50
-#: sources), past which Spark won, 1.09 against 1.43 s at 180 000 rows
-#: (EXPERIMENTS.md, "SLen step on the driver"). One Arrow record batch at
-#: Spark's default size.
-DRIVER_STEP_ROWS = 10_000
+def _bfs_group(pdf: pd.DataFrame) -> pd.DataFrame:
+    """``_bfs`` over one group of the work frame: its edge rows and source rows."""
+    is_edge = pdf["kind"] == "E"
+    return _bfs(zip(pdf["a"][is_edge], pdf["b"][is_edge]), pdf["a"][~is_edge])
 
 
-def _work_frame(edges: DataFrame, sources: DataFrame, key: str | None = None) -> DataFrame:
-    """``(gid, kind, a, b)``: per group, every edge and the group's sources.
+#: Most rows (|sources| × |V|) a BFS writes on the driver; a larger one runs
+#: in Python workers, whose job's fixed cost (0.25–0.37 s) is the whole cost
+#: below it. For steps from the Table XI seed-0 SLen of livejournal-lite,
+#: 10 sources (12 000 rows) took 0.37 s on the driver against 1.03 s in Spark,
+#: the two met near 60 000 rows, and Spark won at 180 000 rows, 1.09 against
+#: 1.43 s. For builds, email-lite's (62 500 rows) took 0.61 s on the driver
+#: against 0.74 s in Spark, and livejournal-lite's (1.44 M rows) 10.6 s against
+#: 2.5 s (EXPERIMENTS.md, "SLen step on the driver", "One placement rule for
+#: every BFS"). One Arrow record batch at Spark's default size.
+DRIVER_BFS_ROWS = 10_000
+
+
+def grouped_bfs(edges: DataFrame, sources: DataFrame, key: str | None = None) -> DataFrame:
+    """Shortest-path rows ``(src, dst, dist)`` from every source, one Python-worker
+    task per group. Each source's rows cover exactly the nodes reachable from
+    it, ``dist=0`` self row included.
 
     ``edges``: (src, dst); ``sources``: (id) plus the group-key column
-    ``key``. With ``key=None`` every source is in one group, and the edges
-    are tagged with its literal gid (no join). Otherwise each distinct key
-    is crossed with the edges.
+    ``key``. The work frame ``(gid, kind, a, b)`` gives each group every edge
+    and its sources. With ``key=None`` every source is in one group, and the
+    edges are tagged with its literal gid (no join). Otherwise each distinct
+    key is crossed with the edges.
     """
     if key is None:
         gid = F.lit(0).alias("gid")
@@ -89,7 +95,7 @@ def _work_frame(edges: DataFrame, sources: DataFrame, key: str | None = None) ->
     else:
         group_sources = sources.select(F.col(key).alias("gid"), "id")
         group_edges = group_sources.select("gid").distinct().crossJoin(edges)
-    return group_edges.select(
+    work = group_edges.select(
         "gid",
         F.lit("E").alias("kind"),
         F.col("src").alias("a"),
@@ -102,15 +108,7 @@ def _work_frame(edges: DataFrame, sources: DataFrame, key: str | None = None) ->
             F.lit(None).cast("long").alias("b"),
         )
     )
-
-
-def grouped_bfs(edges: DataFrame, sources: DataFrame, key: str | None = None) -> DataFrame:
-    """Shortest-path rows ``(src, dst, dist)`` from every source, one Python-worker
-    task per group of ``_work_frame``. Each source's rows cover exactly the
-    nodes reachable from it, ``dist=0`` self row included."""
-    return _work_frame(edges, sources, key).groupBy("gid").applyInPandas(
-        _bfs_group, schema=SLEN_SCHEMA
-    )
+    return work.groupBy("gid").applyInPandas(_bfs_group, schema=SLEN_SCHEMA)
 
 
 def slen_step(
@@ -121,36 +119,40 @@ def slen_step(
     key: str | None = None,
 ) -> DataFrame:
     """SLen of the graph (``nodes``: id and the group-key column ``key``;
-    ``edges``): a build, BFS from every node in ``grouped_bfs``, or, from the
-    SLen before a batch, its rows with ``src NOT IN (stale)`` and BFS from the
-    nodes with ``id IN (stale)``; a deleted node and its column's sources are
-    stale, so its rows go (DESIGN.md §3). No stale source: ``slen`` itself.
+    ``edges``): a build, BFS from every node, or, from the SLen before a
+    batch, its rows with ``src NOT IN (stale)`` and BFS from the nodes with
+    ``id IN (stale)``; a deleted node and its column's sources are stale, so
+    its rows go (DESIGN.md §3). No stale source: ``slen`` itself, with no read.
 
-    A step reads the single-group work frame of every node to the driver in
-    one Arrow read, which also counts ``V_new``. If it writes at most
-    ``DRIVER_STEP_ROWS`` rows, the kernel runs there on the edges and the
-    live stale sources (a group key buys nothing in one process), and its
-    rows go back as a ``local_frame``, so no plan built on them runs a Python
-    worker. A larger step, for which the read only counted ``V_new``, runs
-    ``grouped_bfs`` and is checkpointed here, so its Python-worker job runs
-    once and inside the caller's timer.
+    The node ids come to the driver first, in one Arrow read that gives
+    ``|V|`` and the live sources. A BFS that writes at most
+    ``DRIVER_BFS_ROWS`` rows then reads the edges in a second Arrow read and
+    runs ``_bfs`` there (a group key buys nothing in one process); its rows
+    go back as a ``local_frame``, so no plan built on them runs a Python
+    worker, and nothing is checkpointed. A larger one runs ``grouped_bfs`` and
+    is checkpointed here, so its Python-worker job runs once and inside the
+    caller's timer.
     """
-    if slen is None:
-        return grouped_bfs(edges, nodes, key)
-    if not stale:
+    if slen is not None and not stale:
         return slen
-    ids = id_list(stale)
-    kept = slen.filter(f"src NOT IN ({ids})")
-    work = _work_frame(edges, nodes).toPandas()
-    is_node = work["kind"] == "N"
-    if len(stale) * int(is_node.sum()) <= DRIVER_STEP_ROWS:
-        rows = _bfs_group(work[~is_node | work["a"].isin(list(stale))])
+    ids = nodes.select("id").toPandas()["id"]
+    if slen is None:
+        sources = ids
+    else:
+        sources = ids[ids.isin(list(stale))]
+        nodes = nodes.filter(f"id IN ({id_list(stale)})")
+    on_driver = len(sources) * len(ids) <= DRIVER_BFS_ROWS
+    if on_driver:
+        pairs = edges.select("src", "dst").toPandas()
+        rows = _bfs(zip(pairs["src"], pairs["dst"]), sources)
         fresh = local_frame(
             edges.sparkSession, zip(rows["src"], rows["dst"], rows["dist"]), SLEN_SCHEMA
         )
-        return kept.unionByName(fresh)
-    fresh = grouped_bfs(edges, nodes.filter(f"id IN ({ids})"), key)
-    return kept.unionByName(fresh).localCheckpoint(eager=True)
+    else:
+        fresh = grouped_bfs(edges, nodes, key)
+    if slen is not None:
+        fresh = slen.filter(f"src NOT IN ({id_list(stale)})").unionByName(fresh)
+    return fresh if on_driver else fresh.localCheckpoint(eager=True)
 
 
 def apsp(

@@ -16,8 +16,9 @@
    batches whose DER-III outcome turns on the exact length of the
    inserted paths; on the same batches, the batched SLen step under both
    builders equals ``ref_apsp`` of the updated graph.
-   The same test adds steps on either side of ``DRIVER_STEP_ROWS`` and
-   checks that only a rebuild or the step above it runs ``grouped_bfs``.
+   The same test adds builds and steps on either side of
+   ``DRIVER_BFS_ROWS`` and checks that only those above it run
+   ``grouped_bfs``.
 """
 from collections import Counter
 
@@ -263,11 +264,12 @@ def test_spark_batch_equals_mirror(spark, case):
             assert residual_candidates(up, ud, slices) == want, (up, ud)
 
 
-def _wide_step(*updates):
-    """120 nodes in one SCC; an inserted edge into node 20 makes 83 or 90 of
-    them stale, so a step writes 9 960 or 10 800 rows."""
-    labels, edges = tiny_graph(0, n=120, e=360, n_labels=3)
-    assert len(ref_apsp(sorted(labels), edges)) == 120 * 120
+def _one_scc(n, *updates):
+    """``n`` nodes in one SCC. On 120 nodes, an inserted edge into node 20
+    makes 83 or 90 of them stale, so a step writes 9 960 or 10 800 rows; a
+    deleted node makes every node stale, so SLen is built anew on ``n - 1``."""
+    labels, edges = tiny_graph(0, n=n, e=3 * n, n_labels=3)
+    assert len(ref_apsp(sorted(labels), edges)) == n * n
     return labels, edges, None, list(updates)
 
 
@@ -278,32 +280,40 @@ def _source_only_node_deleted():
     return {**labels, 24: "A"}, edges + [(24, 0), (24, 7)], None, [Update(graph="D", kind="node_del", node=24)]
 
 
-#: The step alone, with the placement its size must take: CASES' steps are
-#: all small, so these add one above ``DRIVER_STEP_ROWS``, one just below it,
-#: and one with no live stale source.
+#: The step alone, with the placement its size must take: CASES' builds and
+#: steps are all small, so these add a step above ``DRIVER_BFS_ROWS``, one
+#: just below it, one with no live stale source, and a build on either side
+#: of the bound: 100 × 100 rows, at it, and 101 × 101.
 STEP_CASES = {
     **{c: (make, None) for c, make in CASES.items()},
     "step-above-bound": (
-        lambda: _wide_step(
+        lambda: _one_scc(
+            120,
             Update(graph="D", kind="edge_ins", src=28, dst=20),
             Update(graph="D", kind="edge_del", src=9, dst=34),
         ),
         "spark",
     ),
     "step-below-bound": (
-        lambda: _wide_step(Update(graph="D", kind="edge_ins", src=72, dst=20)),
+        lambda: _one_scc(120, Update(graph="D", kind="edge_ins", src=72, dst=20)),
         "driver",
     ),
     "step-deleted-source-only": (_source_only_node_deleted, "driver"),
+    "build-at-bound": (
+        lambda: _one_scc(101, Update(graph="D", kind="node_del", node=20)), "driver"
+    ),
+    "build-above-bound": (
+        lambda: _one_scc(102, Update(graph="D", kind="node_del", node=20)), "spark"
+    ),
 }
 
 
 @pytest.mark.parametrize("case", list(STEP_CASES))
 def test_spark_batch_slen_step_equals_ref_apsp(spark, monkeypatch, case):
     """UA-GPNM's batched SLen step, under both builders, is SLen of the updated
-    graph. A rebuild, or a step above ``DRIVER_STEP_ROWS`` rows, runs
-    ``grouped_bfs``; a smaller step runs the kernel on the driver, whose rows
-    go back through ``local_frame``."""
+    graph. A build (every node stale) or a step runs ``grouped_bfs`` if it
+    writes more than ``DRIVER_BFS_ROWS`` rows; a smaller one runs the kernel
+    on the driver, whose rows go back through ``local_frame``."""
     make, placement = STEP_CASES[case]
     labels, edges, _, updates = make()
     updates_d = [u for u in updates if u.graph == "D"]
@@ -332,12 +342,16 @@ def test_spark_batch_slen_step_equals_ref_apsp(spark, monkeypatch, case):
         got, _, stale = _slen_step(spark, slen, dg, updates_d, slices, build)
         assert stale
         rebuild = stale >= slices.nodes
-        on_spark = rebuild or len(stale) * len(new_labels) > bfs.DRIVER_STEP_ROWS
-        if placement:  # a step from the old SLen, on the side its size says
-            assert not rebuild and placement == ("spark" if on_spark else "driver")
+        sources = set(new_labels) if rebuild else stale & set(new_labels)
+        on_spark = len(sources) * len(new_labels) > bfs.DRIVER_BFS_ROWS
+        if placement:  # a build or a step, on the side its size says
+            assert rebuild == case.startswith("build-")
+            assert placement == ("spark" if on_spark else "driver")
         assert bool(grouped) == on_spark != bool(driver_rows), build.__name__
         rows = got.collect()
         assert len(rows) == len(want), build.__name__  # no source's rows twice
         assert {(r.src, r.dst): r.dist for r in rows} == want, build.__name__
         if case == "step-deleted-source-only":  # no live source: the empty frame
             assert not stale & set(new_labels) and driver_rows == [0]
+        if case == "build-at-bound":  # every row of SLen_new, on the driver
+            assert driver_rows == [len(want)]

@@ -83,6 +83,6 @@ def test_only_local_frame_calls_create_data_frame():
 
 
 def test_only_grouped_bfs_calls_apply_in_pandas():
-    """Python-worker jobs stay in the BFS kernel's one Spark builder; a step
-    small enough for the driver runs the same kernel there (DESIGN.md §6)."""
+    """Python-worker jobs stay in the BFS kernel's one Spark builder; a build
+    or step small enough for the driver runs the same kernel there (DESIGN.md §6)."""
     assert _callers("applyInPandas") == {("spark_graph/bfs.py", "grouped_bfs")}

@@ -156,7 +156,7 @@ class TestCostAccounting:
         _, b = ua_gpnm(spark, dg, gp, slen, iq, updates, partitioned=True)
         assert (a.n_roots, a.n_eliminated) == (b.n_roots, b.n_eliminated)
 
-    @pytest.mark.parametrize("partitioned, jobs", [(True, 9), (False, 8)])
+    @pytest.mark.parametrize("partitioned, jobs", [(True, 8), (False, 8)])
     def test_ua_squery_spark_jobs(self, spark, monkeypatch, partitioned, jobs):
         """A whole UA-GPNM SQuery: the detect reads, the graph update's
         checkpoints, the batched SLen step and one answer pass, with no
@@ -227,8 +227,8 @@ class TestCostAccounting:
     def test_ua_small_step_runs_on_the_driver(self, spark, monkeypatch, partitioned):
         """One edge insertion in each graph, as on the email-mixed benchmark:
         the step is small enough for the driver, so the ``slen`` phase is the
-        graph update's two checkpoints and one work-frame read, whichever the
-        builder, and the answer is still exact."""
+        graph update's two checkpoints, the id read and the edge read,
+        whichever the builder, and the answer is still exact."""
         labels, edges, dg, slen, gp, iq, updates = _mk_instance(spark, 6)
         batch = [u for u in updates if u.graph == "P" or u.kind == "edge_ins"]
         assert {u.graph for u in batch} == {"D", "P"}
@@ -237,7 +237,7 @@ class TestCostAccounting:
             lambda: ua_gpnm(spark, dg, gp, slen, iq, batch, partitioned=partitioned),
         )
         assert 0 < stats.n_stale_sources < len(labels)
-        assert jobs == 3
+        assert jobs == 4
         gp_new, expected = _expected(labels, edges, gp, batch)
         got = matches_to_dict(out)
         assert {p: got.get(p, set()) for p in gp_new.nodes} == expected

@@ -188,12 +188,12 @@ class TestPartitionedAPSP:
 
 
 def test_partitioned_apsp_spark_jobs(spark):
-    """``partitioned_apsp`` plus its checkpoint: one job group, pinned, so a
-    Spark action added before the BFS (a ``collect``, say) shows."""
-    labels, edges = tiny_graph(0, n=40, e=120, n_labels=5)
+    """A build above ``DRIVER_BFS_ROWS`` (110 × 110 rows): the id read that
+    places it, then ``grouped_bfs`` with the checkpoint ``slen_step`` takes.
+    One job group, pinned, so a Spark action added before the BFS (a
+    ``collect``, say) shows."""
+    labels, edges = tiny_graph(0, n=110, e=330, n_labels=5)
     dg = DataGraph.from_edge_list(spark, labels, edges).cache()
     dg.counts()
-    _, jobs = spark_jobs(
-        spark, lambda: partitioned_apsp(dg.nodes, dg.edges).localCheckpoint(eager=True)
-    )
-    assert jobs == 3
+    _, jobs = spark_jobs(spark, lambda: partitioned_apsp(dg.nodes, dg.edges))
+    assert jobs == 4
